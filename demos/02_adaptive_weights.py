@@ -11,7 +11,6 @@ Run:
 import numpy as np
 
 from adaweight import (
-    EpanechnikovKernel,
     LossFunction,
     cv_bandwidth,
     epsilon_perturbation,
@@ -34,8 +33,6 @@ def main():
     data, beta0 = generate_sample(n, q, "disc", rng)
     loss = LossFunction.square()
     fs = first_step(data, loss)
-    kernel = EpanechnikovKernel(q)
-    kernel1 = EpanechnikovKernel(1)
 
     print(f"sample: n={n}, q={q}, sigma jumps 0.5 -> 2.5 across the index hyperplane")
     print(f"true beta: {np.round(beta0, 4)}")
@@ -43,17 +40,17 @@ def main():
 
     family = inverse_variance_map("disc")
     eps = epsilon_perturbation(data, fs)
-    h_np = cv_bandwidth(data, fs, kernel, "np").h_cv
-    h_idx = cv_bandwidth(data, fs, kernel1, "sp-index").h_cv
-    h_proj = cv_bandwidth(data, fs, kernel, "sp-proj", eps=eps).h_cv
+    h_np = cv_bandwidth(data, fs, "np").h_cv
+    h_idx = cv_bandwidth(data, fs, "sp-index").h_cv
+    h_proj = cv_bandwidth(data, fs, "sp-proj", eps=eps).h_cv
     print(f"cross-validated bandwidths: np={h_np:.3f}  sp-index={h_idx:.3f}  "
           f"sp-proj={h_proj:.3f}  (epsilon={eps:.4f})")
 
     routes = {
         "parametric": parametric_weights(family, fs, data),
-        "np": np_weights(data, loss, fs, kernel, h_np),
-        "sp-index": sp_index_weights(data, loss, fs, kernel1, h_idx),
-        "sp-proj": sp_projected_weights(data, loss, fs, kernel, h_proj, eps),
+        "np": np_weights(data, loss, fs, h_np),
+        "sp-index": sp_index_weights(data, loss, fs, h_idx),
+        "sp-proj": sp_projected_weights(data, loss, fs, h_proj, eps),
         "oracle": oracle_weights(lambda x: family(x, beta0), data),
     }
 

@@ -11,7 +11,6 @@ Run:
 import numpy as np
 
 from adaweight import (
-    EpanechnikovKernel,
     LossFunction,
     cv_bandwidth,
     epsilon_perturbation,
@@ -34,15 +33,14 @@ def main():
     rng = replication_rng(3, 0)
     data, _ = generate_sample(500, 4, "smooth", rng)
     fs = first_step(data, LossFunction.square())
-    kernel = EpanechnikovKernel(4)
 
-    show("nonparametric (raw covariates, q=4)", cv_bandwidth(data, fs, kernel, "np"))
+    show("nonparametric (raw covariates, q=4)", cv_bandwidth(data, fs, "np"))
 
     eps = epsilon_perturbation(data, fs)
     print(f"projector ridge epsilon = {eps:.4f}\n")
     show(
         "semiparametric (projected geometry)",
-        cv_bandwidth(data, fs, kernel, "sp-proj", eps=eps),
+        cv_bandwidth(data, fs, "sp-proj", eps=eps),
     )
 
     print("the projected geometry concentrates spread along the index, so its")

@@ -24,7 +24,6 @@ import numpy as np
 
 from adaweight import (
     Dataset,
-    EpanechnikovKernel,
     LossFunction,
     SimConfig,
     cv_bandwidth,
@@ -60,9 +59,8 @@ def truncated_design_ratio():
         y = beta0[0] + x @ beta0[1:] + sig * standard_normal(rng, N)
         d = Dataset(y=y, x=x)
         fs = first_step(d, SQUARE)
-        kernel = EpanechnikovKernel(Q)
-        h = cv_bandwidth(d, fs, kernel, "np").h_cv
-        betas_np.append(fit_wls(d, np_weights(d, SQUARE, fs, kernel, h)).beta)
+        h = cv_bandwidth(d, fs, "np").h_cv
+        betas_np.append(fit_wls(d, np_weights(d, SQUARE, fs, h)).beta)
         w0 = oracle_weights(lambda xx: lifted_sigma(xx, beta0[1:]) ** -2.0, d)
         betas_or.append(fit_wls(d, w0).beta)
     tn = np.trace(np.cov(np.array(betas_np), rowvar=False))

@@ -18,13 +18,12 @@ import sys
 
 import numpy as np
 
-from .bandwidth import cv_bandwidth, default_grid
+from .bandwidth import cv_bandwidth
 from .dataio import read_csv, study_summary_dict, to_json_text, write_errors_csv
 from .errors import DataError, NumericalError
-from .estimators import Dataset, FitResult, fit_weighted_m, fit_wls, sandwich_covariance
-from .kernels import EpanechnikovKernel
+from .estimators import fit_weighted_m, fit_wls, sandwich_covariance
 from .losses import LossFunction
-from .simulation import METHODS, SIGMA_KINDS, SimConfig, run_study
+from .simulation import METHODS, SimConfig, inverse_variance_map, run_study
 from .weights import (
     clamp_weights,
     epsilon_perturbation,
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--loss", default="square", help="square | huber:<c> | power:<p>")
     fit.add_argument("--weights", default="constant",
                      help="constant | parametric | np | sp-index | sp-proj | oracle")
-    fit.add_argument("--kernel", default="epanechnikov", help="kernel family")
     fit.add_argument("--bandwidth", default="cv", help="cv | <h>")
     fit.add_argument("--epsilon", default="auto", help="auto | <e> (sp-proj only)")
     fit.add_argument("--cv-grid", default=None, help="<min>:<max>:<count> geometric grid")
@@ -66,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="smooth | disc scale family for parametric/oracle weights")
     fit.add_argument("--oracle-beta", default=None,
                      help="comma-separated true coefficients (oracle weights)")
-    fit.add_argument("--seed", default="0", help="accepted for script symmetry; all fit paths are deterministic")
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--n", required=True)
@@ -92,9 +89,12 @@ def _parse_int(text: str, name: str) -> int:
 
 def _parse_float(text: str, name: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"{name} must be a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise DataError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def parse_loss(spec: str) -> LossFunction:
@@ -132,22 +132,12 @@ def parse_cv_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _sigma_model_family(kind: str):
-    from .simulation import inverse_variance_map
-
-    if kind not in ("smooth", "disc"):
-        raise DataError(f"--sigma-model must be smooth or disc, got {kind!r}")
-    return inverse_variance_map(kind)
-
-
 def _run_fit(args) -> dict:
     data = read_csv(args.data)
     loss = parse_loss(args.loss)
     route = args.weights
     if route not in WEIGHT_ROUTES:
         raise DataError(f"--weights must be one of {WEIGHT_ROUTES}, got {route!r}")
-    if args.kernel != "epanechnikov":
-        raise DataError(f"only the epanechnikov kernel is available, got {args.kernel!r}")
 
     fs = first_step(data, loss)
     bandwidth = parse_bandwidth(args.bandwidth)
@@ -162,8 +152,6 @@ def _run_fit(args) -> dict:
     if route == "constant":
         w = np.ones(data.n)
     elif route in ("np", "sp-index", "sp-proj"):
-        kernel = EpanechnikovKernel(1 if route == "sp-index" else data.q)
-        mode = {"np": "np", "sp-index": "sp-index", "sp-proj": "sp-proj"}[route]
         if route == "sp-proj":
             if args.epsilon == "auto":
                 eps_used = epsilon_perturbation(data, fs)
@@ -172,7 +160,7 @@ def _run_fit(args) -> dict:
                 if eps_used < 0:
                     raise DataError("epsilon must be nonnegative")
         if bandwidth == "cv":
-            cv = cv_bandwidth(data, fs, kernel, mode, grid=grid, eps=eps_used)
+            cv = cv_bandwidth(data, fs, route, grid=grid, eps=eps_used)
             h_used, h_selection = cv.h_cv, "cv"
             cv_diag = {
                 "grid": [float(v) for v in cv.grid],
@@ -182,31 +170,31 @@ def _run_fit(args) -> dict:
         else:
             h_used, h_selection = float(bandwidth), "fixed"
         if route == "np":
-            w = np_weights(data, loss, fs, kernel, h_used)
+            w = np_weights(data, loss, fs, h_used)
         elif route == "sp-index":
-            w = sp_index_weights(data, loss, fs, kernel, h_used)
+            w = sp_index_weights(data, loss, fs, h_used)
         else:
-            w = sp_projected_weights(data, loss, fs, kernel, h_used, eps_used)
-    elif route == "parametric":
-        family = _sigma_model_family(args.sigma_model)
-        raw = evaluate_weight_map(family, data.x, fs.beta)
-        w, clamp_count = clamp_weights(raw)
-    else:  # oracle
-        if args.oracle_beta is None:
+            w = sp_projected_weights(data, loss, fs, h_used, eps_used)
+    else:  # parametric plugs in the first step, oracle the given coefficients
+        if route == "parametric":
+            beta = fs.beta
+        elif args.oracle_beta is None:
             raise DataError("--weights oracle requires --oracle-beta")
-        beta0 = np.array(
-            [_parse_float(v, "--oracle-beta entry") for v in args.oracle_beta.split(",")]
-        )
-        if beta0.shape != (1 + data.q,):
-            raise DataError(
-                f"--oracle-beta must have {1 + data.q} entries, got {beta0.size}"
+        else:
+            beta = np.array(
+                [_parse_float(v, "--oracle-beta entry") for v in args.oracle_beta.split(",")]
             )
-        family = _sigma_model_family(args.sigma_model)
-        raw = evaluate_weight_map(lambda x: family(x, beta0), data.x)
-        w, clamp_count = clamp_weights(raw)
+            if beta.shape != (1 + data.q,):
+                raise DataError(
+                    f"--oracle-beta must have {1 + data.q} entries, got {beta.size}"
+                )
+        if args.sigma_model not in ("smooth", "disc"):
+            raise DataError(f"--sigma-model must be smooth or disc, got {args.sigma_model!r}")
+        family = inverse_variance_map(args.sigma_model)
+        w, clamp_count = clamp_weights(evaluate_weight_map(family, data.x, beta))
 
     if loss.family == "square":
-        fit: FitResult = fit_wls(data, w)
+        fit = fit_wls(data, w)
     else:
         fit = fit_weighted_m(data, loss, w)
     cov = sandwich_covariance(data, loss, w, fit.beta)

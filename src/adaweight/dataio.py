@@ -27,8 +27,9 @@ def read_csv(path: str) -> Dataset:
     """Load a dataset from a headed CSV file.
 
     The header must contain a column named ``y``; every other column is a
-    numeric covariate, kept in file order.  Decimal parsing always uses the
-    dot separator, independent of locale.
+    numeric covariate, kept in file order.  Blank lines are skipped but still
+    counted, so error messages give file line numbers.  Decimal parsing
+    always uses the dot separator, independent of locale.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
@@ -46,6 +47,8 @@ def read_csv(path: str) -> Dataset:
 
     y_vals, x_rows = [], []
     for r, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue  # blank line, skipped as csv.DictReader does
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         parsed = []

@@ -17,7 +17,7 @@ Three operations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class FitResult:
     """Fitted coefficients plus solver diagnostics.
 
     ``beta`` holds the intercept first.  ``iterations`` is 0 for the closed
-    form.  ``covariance`` stays ``None`` unless attached by the caller (see
-    :func:`sandwich_covariance`).
+    form.
     """
 
     beta: np.ndarray
@@ -86,7 +85,6 @@ class FitResult:
     iterations: int
     converged: bool
     gradient_norm: float
-    covariance: np.ndarray | None = field(default=None)
 
 
 def _check_weights(data: Dataset, weights) -> np.ndarray:

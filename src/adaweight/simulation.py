@@ -29,7 +29,6 @@ from scipy.special import ndtri
 from .bandwidth import cv_bandwidth
 from .errors import DataError, NumericalError, StudyError
 from .estimators import Dataset, fit_weighted_m, fit_wls
-from .kernels import EpanechnikovKernel
 from .losses import LossFunction
 from .weights import (
     epsilon_perturbation,
@@ -154,9 +153,9 @@ def _final_fit(data: Dataset, config: SimConfig, w: np.ndarray) -> np.ndarray:
     return fit_weighted_m(data, config.loss, w).beta
 
 
-def _bandwidth_for(data, fs, kernel, mode, config, eps=None) -> float:
+def _bandwidth_for(data, fs, mode, config, eps=None) -> float:
     if config.bandwidth == "cv":
-        return cv_bandwidth(data, fs, kernel, mode, eps=eps).h_cv
+        return cv_bandwidth(data, fs, mode, eps=eps).h_cv
     return float(config.bandwidth)
 
 
@@ -169,7 +168,6 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
     rng = replication_rng(config.seed, replication)
     data, beta0 = generate_sample(config.n, config.q, config.sigma, rng)
     fs = first_step(data, config.loss)
-    kernel = EpanechnikovKernel(config.q)
 
     outcomes: dict[str, ReplicationOutcome] = {}
     for method in config.methods:
@@ -180,13 +178,13 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
                 w = parametric_weights(inverse_variance_map(config.sigma), fs, data)
                 beta = _final_fit(data, config, w)
             elif method == "np":
-                h = _bandwidth_for(data, fs, kernel, "np", config)
-                w = np_weights(data, config.loss, fs, kernel, h)
+                h = _bandwidth_for(data, fs, "np", config)
+                w = np_weights(data, config.loss, fs, h)
                 beta = _final_fit(data, config, w)
             elif method == "sp":
                 eps = epsilon_perturbation(data, fs)
-                h = _bandwidth_for(data, fs, kernel, "sp-proj", config, eps=eps)
-                w = sp_projected_weights(data, config.loss, fs, kernel, h, eps)
+                h = _bandwidth_for(data, fs, "sp-proj", config, eps=eps)
+                w = sp_projected_weights(data, config.loss, fs, h, eps)
                 beta = _final_fit(data, config, w)
             else:  # oracle
                 family = inverse_variance_map(config.sigma)

@@ -17,9 +17,18 @@ residual.  Four routes produce per-observation weight sequences:
 
 plus :func:`oracle_weights` for plugging in a known weight map.
 
-Kernel sums include the self term i == j; leave-one-out kernels appear only
-inside bandwidth cross-validation.  Denominators are floored at 1e-8 of
-their maximum so the returned sequences are strictly positive and finite.
+The kernel routes smooth with the Epanechnikov kernel whose dimension is
+that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
+``"sp-index"``).  Kernel sums include the self term i == j; leave-one-out
+kernels appear only inside bandwidth cross-validation.  Denominators are
+floored at 1e-8 of their maximum so the returned sequences are strictly
+positive and finite.
+
+A point with no other observation within h smooths only its own residual,
+so its weight is the pointwise ratio g2(e_i)/g1(e_i) (1/(2 e_i^2) for square
+loss).  That value is unbounded as e_i -> 0, and the kernel routes do not
+clamp it; isolated points in sparse tails can therefore receive weights far
+above the rest of the sample.
 """
 
 from __future__ import annotations
@@ -84,16 +93,13 @@ def projector(beta2) -> np.ndarray:
     return np.outer(b, b) / norm_sq
 
 
-def epsilon_perturbation(
-    data: Dataset, fs: FirstStepFit, *, use_slope_norm: bool = True
-) -> float:
+def epsilon_perturbation(data: Dataset, fs: FirstStepFit) -> float:
     """Ridge size for the projected-smoothing matrix ``A = P + eps*I``.
 
     eps = sqrt( 2 s^2 sum_k lam_k^2 / (n q |b|^2) ) where s^2 is the mean
     squared first-step residual, lam_k are the eigenvalues of
     (I-P) S2 (I-P) with S2 the bottom-right q x q block of the inverse
-    moment matrix, and |b|^2 the squared slope norm (set
-    ``use_slope_norm=False`` to use the full coefficient norm instead).
+    moment matrix, and |b|^2 the squared slope norm.
     """
     slope = fs.slope
     p_mat = projector(slope)
@@ -105,7 +111,7 @@ def epsilon_perturbation(
     mat = resid_proj @ block @ resid_proj
     lam = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     sigma2 = float(np.mean(fs.residuals**2))
-    norm_sq = float(slope @ slope) if use_slope_norm else float(fs.beta @ fs.beta)
+    norm_sq = float(slope @ slope)
     value = 2.0 * sigma2 * float(np.sum(lam**2)) / (data.n * data.q * norm_sq)
     return float(np.sqrt(value))
 
@@ -144,10 +150,11 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     return np.clip(d2, 0.0, None)
 
 
-def _kernel_matrix(kernel: EpanechnikovKernel, d2: np.ndarray, h: float) -> np.ndarray:
+def _kernel_matrix(d2: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Epanechnikov kernel K_h on R^dim evaluated at squared distances ``d2``."""
     if not h > 0:
         raise DataError("bandwidth must be positive")
-    return kernel.profile(d2 / h**2) * h ** (-kernel.dim)
+    return EpanechnikovKernel(dim).profile(d2 / h**2) * h ** (-dim)
 
 
 def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
@@ -166,21 +173,11 @@ def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _ratio_weights(
-    data: Dataset,
-    loss: LossFunction,
-    fs: FirstStepFit,
-    kernel: EpanechnikovKernel,
-    h: float,
-    points: np.ndarray,
+    data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float, points: np.ndarray
 ) -> np.ndarray:
-    if kernel.dim != points.shape[1]:
-        raise DataError(
-            f"kernel dimension {kernel.dim} does not match smoothing "
-            f"dimension {points.shape[1]}"
-        )
     g1 = loss.g1(fs.residuals)
     g2 = loss.g2(fs.residuals)
-    k_mat = _kernel_matrix(kernel, pairwise_sq_dists(points), h)
+    k_mat = _kernel_matrix(pairwise_sq_dists(points), h, points.shape[1])
     num = k_mat @ g2 / data.n
     den = k_mat @ g1 / data.n
     num = _floor_positive(num, "numerator")
@@ -189,42 +186,27 @@ def _ratio_weights(
 
 
 def np_weights(
-    data: Dataset,
-    loss: LossFunction,
-    fs: FirstStepFit,
-    kernel: EpanechnikovKernel,
-    h: float,
+    data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float
 ) -> np.ndarray:
     """Nadaraya-Watson weight estimate evaluated at every sample point."""
-    return _ratio_weights(
-        data, loss, fs, kernel, h, smoothing_coordinates(data, fs, "np")
-    )
+    return _ratio_weights(data, loss, fs, h, smoothing_coordinates(data, fs, "np"))
 
 
 def sp_index_weights(
-    data: Dataset,
-    loss: LossFunction,
-    fs: FirstStepFit,
-    kernel: EpanechnikovKernel,
-    h: float,
+    data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float
 ) -> np.ndarray:
     """Weight estimate smoothing over the scalar first-step index."""
     return _ratio_weights(
-        data, loss, fs, kernel, h, smoothing_coordinates(data, fs, "sp-index")
+        data, loss, fs, h, smoothing_coordinates(data, fs, "sp-index")
     )
 
 
 def sp_projected_weights(
-    data: Dataset,
-    loss: LossFunction,
-    fs: FirstStepFit,
-    kernel: EpanechnikovKernel,
-    h: float,
-    eps: float,
+    data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float, eps: float
 ) -> np.ndarray:
     """Weight estimate smoothing in the projected-perturbed geometry."""
     return _ratio_weights(
-        data, loss, fs, kernel, h, smoothing_coordinates(data, fs, "sp-proj", eps)
+        data, loss, fs, h, smoothing_coordinates(data, fs, "sp-proj", eps)
     )
 
 

@@ -177,9 +177,8 @@ def efficiency_replication(seed, r):
     """First-step, np (CV bandwidth) and oracle coefficients on one sample."""
     d, beta0 = compact_sample(2000, 2, aw.replication_rng(seed, r))
     fs = aw.first_step(d, SQUARE)
-    kernel = aw.EpanechnikovKernel(2)
-    h = aw.cv_bandwidth(d, fs, kernel, "np").h_cv
-    b_np = aw.fit_wls(d, aw.np_weights(d, SQUARE, fs, kernel, h)).beta
+    h = aw.cv_bandwidth(d, fs, "np").h_cv
+    b_np = aw.fit_wls(d, aw.np_weights(d, SQUARE, fs, h)).beta
     w0 = aw.oracle_weights(lambda x: lifted_sigma(x, beta0[1:]) ** -2.0, d)
     return fs.beta, b_np, aw.fit_wls(d, w0).beta
 

@@ -7,7 +7,22 @@ import sys
 import numpy as np
 import pytest
 
-from adaweight import DataError, Dataset
+from adaweight import (
+    DataError,
+    Dataset,
+    LossFunction,
+    cv_bandwidth,
+    epsilon_perturbation,
+    first_step,
+    fit_wls,
+    inverse_variance_map,
+    np_weights,
+    oracle_weights,
+    parametric_weights,
+    sandwich_covariance,
+    sp_index_weights,
+    sp_projected_weights,
+)
 from adaweight.cli import main
 from adaweight.dataio import read_csv, to_json_text, write_csv
 
@@ -70,6 +85,22 @@ class TestReadCsv:
         with pytest.raises(DataError, match="no such file"):
             read_csv("/nonexistent/nope.csv")
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        clean = tmp_path / "clean.csv"
+        clean.write_text("y,x1\n1,2\n3,4\n5,7\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("y,x1\n1,2\n\n3,4\n5,7\n\n")
+        a, b = read_csv(str(clean)), read_csv(str(blank))
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.x, b.x)
+
+    def test_wrong_cell_count_reports_file_line(self, tmp_path):
+        # the blank line still counts, so the short row is line 4
+        p = tmp_path / "ragged.csv"
+        p.write_text("y,x1\n1,2\n\n3\n5,6\n7,8\n")
+        with pytest.raises(DataError, match="row 4 has 1 cells, expected 2"):
+            read_csv(str(p))
+
 
 class TestJsonText:
     def test_fixed_precision(self):
@@ -102,7 +133,7 @@ class TestCmdFit:
         d = Dataset(y=rng.normal(size=60), x=rng.normal(size=(60, 2)))
         path = str(tmp_path / "d.csv")
         write_csv(path, d)
-        args = ["fit", "--data", path, "--weights", "np", "--bandwidth", "cv", "--seed", "1"]
+        args = ["fit", "--data", path, "--weights", "np", "--bandwidth", "cv"]
         code1, out1, _ = run_cli(capsys, *args)
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
@@ -154,6 +185,44 @@ class TestCmdFit:
         assert code == 0, err
         report = json.loads(out)
         assert report["weights_summary"]["max"] <= 4.0 + 1e-12
+
+    @pytest.mark.parametrize("route", ["np", "sp-index", "sp-proj", "parametric", "oracle"])
+    def test_matches_library_chain(self, capsys, tmp_path, route):
+        rng = np.random.default_rng(96)
+        x = rng.normal(size=(120, 2))
+        y = 1 + x @ [1.0, 1.0] + (0.5 + 2.0 * (x @ [1.0, 1.0] > 0)) * rng.normal(size=120)
+        path = str(tmp_path / "d.csv")
+        write_csv(path, Dataset(y=y, x=x))
+        code, out, err = run_cli(
+            capsys, "fit", "--data", path, "--weights", route, "--sigma-model", "disc",
+            "--oracle-beta", "1.0,0.7071,0.7071",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+
+        square = LossFunction.square()
+        data = read_csv(path)
+        fs = first_step(data, square)
+        family = inverse_variance_map("disc")
+        h = eps = None
+        if route == "parametric":
+            w = parametric_weights(family, fs, data)
+        elif route == "oracle":
+            w = oracle_weights(lambda xx: family(xx, np.array([1.0, 0.7071, 0.7071])), data)
+        elif route == "sp-proj":
+            eps = epsilon_perturbation(data, fs)
+            h = cv_bandwidth(data, fs, route, eps=eps).h_cv
+            w = sp_projected_weights(data, square, fs, h, eps)
+        else:
+            h = cv_bandwidth(data, fs, route).h_cv
+            smoother = np_weights if route == "np" else sp_index_weights
+            w = smoother(data, square, fs, h)
+        beta = fit_wls(data, w).beta
+        se = np.sqrt(np.diag(sandwich_covariance(data, square, w, beta)))
+        assert report["beta"] == beta.tolist()
+        assert report["standard_errors"] == se.tolist()
+        assert report["bandwidth"]["value"] == h
+        assert report["epsilon"] == eps
 
     def test_unknown_flag_is_usage_error(self, capsys, derived_csv):
         code, out, err = run_cli(capsys, "fit", "--data", derived_csv, "--frobnicate", "1")
@@ -225,6 +294,30 @@ class TestCmdSimulate:
         assert len(lines) == 3
         assert lines[1].startswith("0,first-step,")
         assert lines[1].endswith(",ok")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--weights", "np", "--cv-grid", "1:inf:5"],
+        ["fit", "--weights", "np", "--cv-grid", "nan:2:5"],
+        ["fit", "--loss", "power:inf"],
+        ["fit", "--loss", "huber:inf"],
+        ["fit", "--weights", "np", "--bandwidth", "inf"],
+        ["fit", "--weights", "sp-proj", "--epsilon", "nan"],
+        ["fit", "--weights", "sp-proj", "--epsilon", "inf"],
+        ["fit", "--weights", "oracle", "--oracle-beta", "1,nan"],
+        ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "1",
+         "--seed", "1", "--bandwidth", "inf"],
+    ],
+)
+def test_non_finite_number_is_input_error(capsys, derived_csv, tmp_path, argv):
+    extra = ["--data", derived_csv] if argv[0] == "fit" else ["--out", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2
+    report = json.loads(err)
+    assert report["error"] == "input"
+    assert "must be finite" in report["message"]
 
 
 class TestSubprocessEntry:

@@ -70,7 +70,7 @@ class TestNpWeights:
         d = Dataset(y=np.zeros(6), x=x)
         fs_like = first_step(d, SQUARE)
         fs = type(fs_like)(beta=fs_like.beta, residuals=np.ones(6))
-        w = np_weights(d, SQUARE, fs, EpanechnikovKernel(1), h=0.5)
+        w = np_weights(d, SQUARE, fs, h=0.5)
         assert np.allclose(w, 0.5, atol=1e-12)
 
     def test_isolated_point_reduces_to_pointwise_ratio(self):
@@ -81,7 +81,7 @@ class TestNpWeights:
         resid = np.array([0.5, 1.0, 2.0, 3.0])
         fs = type(fs_like)(beta=fs_like.beta, residuals=resid)
         loss = LossFunction.huber(1.5)
-        w = np_weights(d, loss, fs, EpanechnikovKernel(1), h=0.5)
+        w = np_weights(d, loss, fs, h=0.5)
         expected = loss.g2(resid) / loss.g1(resid)
         assert np.allclose(w, expected, rtol=1e-12)
 
@@ -93,7 +93,7 @@ class TestNpWeights:
         fs = first_step(d, SQUARE)
         kernel = EpanechnikovKernel(2)
         h = 0.9
-        w = np_weights(d, SQUARE, fs, kernel, h)
+        w = np_weights(d, SQUARE, fs, h)
 
         diffs = d.x[:, None, :] - d.x[None, :, :]
         kmat = kernel(diffs.reshape(-1, 2)).reshape(d.n, d.n)  # h-free scale cancels
@@ -107,17 +107,16 @@ class TestNpWeights:
         rng = np.random.default_rng(44)
         d, _ = heteroscedastic_sample(rng, n=60, q=2)
         fs = first_step(d, SQUARE)
-        kernel = EpanechnikovKernel(2)
         perm = rng.permutation(d.n)
         d_perm = Dataset(y=d.y[perm], x=d.x[perm])
         fs_perm = type(fs)(beta=fs.beta, residuals=fs.residuals[perm])
 
-        w = np_weights(d, SQUARE, fs, kernel, h=0.8)
-        w_perm = np_weights(d_perm, SQUARE, fs_perm, kernel, h=0.8)
+        w = np_weights(d, SQUARE, fs, h=0.8)
+        w_perm = np_weights(d_perm, SQUARE, fs_perm, h=0.8)
         assert np.allclose(w_perm, w[perm], rtol=1e-12)
 
-        v = sp_projected_weights(d, SQUARE, fs, kernel, h=0.8, eps=0.2)
-        v_perm = sp_projected_weights(d_perm, SQUARE, fs_perm, kernel, h=0.8, eps=0.2)
+        v = sp_projected_weights(d, SQUARE, fs, h=0.8, eps=0.2)
+        v_perm = sp_projected_weights(d_perm, SQUARE, fs_perm, h=0.8, eps=0.2)
         assert np.allclose(v_perm, v[perm], rtol=1e-12)
 
     def test_strictly_positive_finite(self):
@@ -125,7 +124,7 @@ class TestNpWeights:
         for kind in ("smooth", "disc"):
             d, _ = heteroscedastic_sample(rng, n=100, q=3, kind=kind)
             fs = first_step(d, SQUARE)
-            w = np_weights(d, SQUARE, fs, EpanechnikovKernel(3), h=1.0)
+            w = np_weights(d, SQUARE, fs, h=1.0)
             assert np.all(w > 0) and np.all(np.isfinite(w))
 
     def test_response_scale_equivariance_chain(self):
@@ -134,12 +133,11 @@ class TestNpWeights:
         d, _ = heteroscedastic_sample(rng, n=70, q=2)
         s = 3.7
         scaled = Dataset(y=s * d.y, x=d.x)
-        kernel = EpanechnikovKernel(2)
         fs = first_step(d, SQUARE)
         fs_s = first_step(scaled, SQUARE)
         assert np.max(np.abs(fs_s.residuals - s * fs.residuals)) <= 1e-9
-        w = np_weights(d, SQUARE, fs, kernel, h=0.8)
-        w_s = np_weights(scaled, SQUARE, fs_s, kernel, h=0.8)
+        w = np_weights(d, SQUARE, fs, h=0.8)
+        w_s = np_weights(scaled, SQUARE, fs_s, h=0.8)
         assert np.max(np.abs(w_s - w / s**2)) <= 1e-8 * np.max(w)
         beta = fit_wls(d, w).beta
         beta_s = fit_wls(scaled, w_s).beta
@@ -152,7 +150,7 @@ class TestSpIndexWeights:
         d = Dataset(y=x[:, 0] * 2.0, x=x)
         fs_like = first_step(d, SQUARE)
         fs = type(fs_like)(beta=fs_like.beta, residuals=np.full(8, 2.0))
-        w = sp_index_weights(d, SQUARE, fs, EpanechnikovKernel(1), h=1.0)
+        w = sp_index_weights(d, SQUARE, fs, h=1.0)
         # g2/g1 = 2/(4*4) = 0.125 everywhere
         assert np.allclose(w, 0.125, atol=1e-12)
 
@@ -162,15 +160,14 @@ class TestSpIndexWeights:
         rng = np.random.default_rng(47)
         d, _ = heteroscedastic_sample(rng, n=60, q=1, kind="disc")
         fs = first_step(d, SQUARE)
-        kernel = EpanechnikovKernel(1)
         h = 0.6
-        w_index = sp_index_weights(d, SQUARE, fs, kernel, h)
+        w_index = sp_index_weights(d, SQUARE, fs, h)
 
         slope = fs.beta[1]
         d_scaled = Dataset(y=d.y, x=d.x * slope)
         fs_scaled = first_step(d_scaled, SQUARE)
         assert np.max(np.abs(fs_scaled.residuals - fs.residuals)) <= 1e-9
-        w_np = np_weights(d_scaled, SQUARE, fs_scaled, kernel, h)
+        w_np = np_weights(d_scaled, SQUARE, fs_scaled, h)
         beta_index = fit_wls(d, w_index).beta
         beta_np = fit_wls(d, w_np).beta
         assert np.max(np.abs(beta_index - beta_np)) <= 1e-10
@@ -189,7 +186,7 @@ class TestSpIndexWeights:
         fs2 = type(fs)(
             beta=fs.beta, residuals=np.append(fs.residuals, fs.residuals[0])
         )
-        w = sp_index_weights(d2, SQUARE, fs2, EpanechnikovKernel(1), h=0.7)
+        w = sp_index_weights(d2, SQUARE, fs2, h=0.7)
         assert w[0] == pytest.approx(w[-1], rel=1e-12)
 
     def test_zero_slope_rejected(self):
@@ -197,7 +194,7 @@ class TestSpIndexWeights:
         fs_like = first_step(d, SQUARE)
         fs = type(fs_like)(beta=np.array([1.0, 0.0]), residuals=fs_like.residuals)
         with pytest.raises(IndexDegenerateError):
-            sp_index_weights(d, SQUARE, fs, EpanechnikovKernel(1), h=1.0)
+            sp_index_weights(d, SQUARE, fs, h=1.0)
 
 
 class TestProjector:
@@ -272,14 +269,6 @@ class TestEpsilonPerturbation:
         ratio = medians[0] / medians[1]
         assert 1.5 <= ratio <= 2.5
 
-    def test_full_norm_variant_is_smaller(self):
-        rng = np.random.default_rng(55)
-        d, _ = heteroscedastic_sample(rng, n=60, q=2)
-        fs = first_step(d, SQUARE)
-        slope_norm = epsilon_perturbation(d, fs, use_slope_norm=True)
-        full_norm = epsilon_perturbation(d, fs, use_slope_norm=False)
-        assert full_norm < slope_norm
-
 
 class TestSpProjectedWeights:
     def test_constant_residuals(self):
@@ -288,7 +277,7 @@ class TestSpProjectedWeights:
         d = Dataset(y=x @ np.array([1.0, 1.0]), x=x)
         fs_like = first_step(d, SQUARE)
         fs = type(fs_like)(beta=fs_like.beta, residuals=np.ones(20))
-        w = sp_projected_weights(d, SQUARE, fs, EpanechnikovKernel(2), h=1.0, eps=0.1)
+        w = sp_projected_weights(d, SQUARE, fs, h=1.0, eps=0.1)
         assert np.allclose(w, 0.5, atol=1e-12)
 
     def test_univariate_equals_np_with_rescaled_bandwidth(self):
@@ -297,11 +286,10 @@ class TestSpProjectedWeights:
         rng = np.random.default_rng(57)
         d, _ = heteroscedastic_sample(rng, n=50, q=1, kind="disc")
         fs = first_step(d, SQUARE)
-        kernel = EpanechnikovKernel(1)
         eps = 0.3
         h = 0.8
-        w_proj = sp_projected_weights(d, SQUARE, fs, kernel, h, eps)
-        w_np = np_weights(d, SQUARE, fs, kernel, h / (1.0 + eps))
+        w_proj = sp_projected_weights(d, SQUARE, fs, h, eps)
+        w_np = np_weights(d, SQUARE, fs, h / (1.0 + eps))
         beta_proj = fit_wls(d, w_proj).beta
         beta_np = fit_wls(d, w_np).beta
         assert np.max(np.abs(beta_proj - beta_np)) <= 1e-10
