@@ -32,6 +32,7 @@ from .weights import (
     np_weights,
     sp_index_weights,
     sp_projected_weights,
+    squared_bandwidth,
 )
 
 WEIGHT_ROUTES = ("constant", "parametric", "np", "sp-index", "sp-proj", "oracle")
@@ -117,6 +118,7 @@ def parse_bandwidth(text: str) -> float | str:
     h = _parse_float(text, "bandwidth")
     if not h > 0:
         raise DataError(f"bandwidth must be positive, got {h}")
+    squared_bandwidth(h)
     return h
 
 
@@ -129,6 +131,7 @@ def parse_cv_grid(text: str) -> np.ndarray:
     count = _parse_int(parts[2], "grid count")
     if not (0 < lo <= hi) or count < 1:
         raise DataError(f"invalid --cv-grid {text!r}")
+    squared_bandwidth(hi)
     return np.geomspace(lo, hi, count)
 
 

@@ -37,6 +37,7 @@ from .weights import (
     oracle_weights,
     parametric_weights,
     sp_projected_weights,
+    squared_bandwidth,
 )
 
 SIGMA_KINDS = ("smooth", "disc", "constant")
@@ -131,6 +132,8 @@ class SimConfig:
                 raise DataError("bandwidth must be 'cv' or a positive real")
         elif not self.bandwidth > 0:
             raise DataError("bandwidth must be 'cv' or a positive real")
+        else:
+            squared_bandwidth(self.bandwidth)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ plus :func:`oracle_weights` for plugging in a known weight map.
 The kernel routes smooth with the Epanechnikov kernel whose dimension is
 that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
 ``"sp-index"``).  Kernel sums include the self term i == j; leave-one-out
-kernels appear only inside bandwidth cross-validation.  Denominators are
-floored at 1e-8 of their maximum so the returned sequences are strictly
+kernels appear only inside bandwidth cross-validation, which sums them
+without a kernel matrix (see :mod:`adaweight.bandwidth`), so
+:func:`_kernel_matrix` now serves only this final smoother.  Denominators
+are floored at 1e-8 of their maximum so the returned sequences are strictly
 positive and finite.
 
 A point with no other observation within h smooths only its own residual,
@@ -143,18 +145,33 @@ def smoothing_coordinates(
     return data.x @ a_mat
 
 
-def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    """Dense matrix of squared Euclidean distances between rows."""
-    sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    return np.clip(d2, 0.0, None)
+def pairwise_sq_dists(rows: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances from each of ``rows`` to each of ``points``.
+
+    ``points`` defaults to ``rows``, which gives the dense symmetric matrix.
+    """
+    points = rows if points is None else points
+    sq_rows, sq_points = np.sum(rows**2, axis=1), np.sum(points**2, axis=1)
+    d2 = sq_rows[:, None] + sq_points[None, :] - 2.0 * (rows @ points.T)
+    return np.clip(d2, 0.0, None, out=d2)
+
+
+def squared_bandwidth(h: float) -> float:
+    """``h**2`` for a usable bandwidth ``h``.
+
+    Raises DataError when ``h`` is not positive or its square overflows.
+    """
+    if not h > 0:
+        raise DataError("bandwidth must be positive")
+    h2 = float(h) * float(h)
+    if not np.isfinite(h2):
+        raise DataError(f"bandwidth {float(h):g} is too large: its square overflows")
+    return h2
 
 
 def _kernel_matrix(d2: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Epanechnikov kernel K_h on R^dim evaluated at squared distances ``d2``."""
-    if not h > 0:
-        raise DataError("bandwidth must be positive")
-    return EpanechnikovKernel(dim).profile(d2 / h**2) * h ** (-dim)
+    return EpanechnikovKernel(dim).profile(d2 / squared_bandwidth(h)) * h ** (-dim)
 
 
 def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:

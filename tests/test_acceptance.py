@@ -18,6 +18,8 @@ from adaweight import LossFunction
 from adaweight.cli import main as cli_main
 from adaweight.simulation import standard_normal
 
+pytestmark = pytest.mark.slow
+
 SEED = 20260810
 SQUARE = LossFunction.square()
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaweight import (
     BandwidthGridError,
     CvResult,
+    DataError,
     Dataset,
     LossFunction,
     cv_bandwidth,
@@ -11,7 +15,8 @@ from adaweight import (
     first_step,
     loo_sigma2,
 )
-from adaweight.weights import FirstStepFit
+from adaweight.bandwidth import BLOCK_ROWS, MIN_VALID_FRACTION, _loo_scan
+from adaweight.weights import FirstStepFit, smoothing_coordinates
 
 SQUARE = LossFunction.square()
 
@@ -56,11 +61,14 @@ class TestLooSigma2:
         assert v_np == pytest.approx(v_idx, rel=1e-10)
 
     def test_out_of_range_index_rejected(self):
-        from adaweight import DataError
-
         d, fs = scalar_dataset()
         with pytest.raises(DataError):
             loo_sigma2(d, fs, h=1.0, mode="np", i=3)
+
+    def test_bandwidth_with_overflowing_square_rejected(self):
+        d, fs = scalar_dataset()
+        with pytest.raises(DataError, match="1e\\+200 is too large"):
+            loo_sigma2(d, fs, h=1e200, mode="np", i=0)
 
 
 class TestCvBandwidth:
@@ -139,6 +147,27 @@ class TestCvBandwidth:
         assert np.allclose(res.scores, res_perm.scores, rtol=1e-12)
         assert res.h_cv == res_perm.h_cv
 
+    def test_bandwidth_with_overflowing_square_rejected(self):
+        rng = np.random.default_rng(85)
+        d, fs = random_fit(rng)
+        with pytest.raises(DataError, match="1e\\+200 is too large"):
+            cv_bandwidth(d, fs, "np", grid=[1.0, 1e200])
+        with pytest.raises(DataError):
+            cv_bandwidth(d, fs, "np", grid=[1.0, np.nan])
+
+    def test_memory_stays_in_row_blocks(self):
+        # the blocked scan peaks near 20 MB here; one n x n float64 temporary
+        # adds 32 MB and breaks the bound (the dense scan peaked at 153 MB)
+        rng = np.random.default_rng(86)
+        d, fs = random_fit(rng, n=2000, q=2)
+        tracemalloc.start()
+        try:
+            cv_bandwidth(d, fs, "np")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+
     def test_sp_modes_run(self):
         rng = np.random.default_rng(79)
         d, fs = random_fit(rng, n=80, q=3)
@@ -179,3 +208,89 @@ class TestDefaultGrid:
         grid = default_grid(d, fs, "np")
         ratios = grid[1:] / grid[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-10)
+
+
+def dense_loo_criterion(points, e2, grid):
+    """Scores and evaluable fractions from the full leave-one-out kernel matrix."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    scores, fractions = [], []
+    for h in grid:
+        k = np.clip(1.0 - d2 / h**2, 0.0, None)
+        np.fill_diagonal(k, 0.0)
+        mass = k.sum(axis=1)
+        valid = mass > 0
+        smooth = np.divide(k @ e2, mass, out=np.zeros(e2.size), where=valid)
+        scores.append(np.mean((e2 - smooth) ** 2))
+        fractions.append(np.mean(valid))
+    return np.array(scores), np.array(fractions)
+
+
+#: Geometries with exactly representable smoothing coordinates: integer
+#: covariates, an integer slope, and for sp-proj A = P + eps*I with a dyadic
+#: eps, so the scan and the reference see the same squared distances and a
+#: point at distance exactly h is out of the window in both.
+GEOMETRIES = {
+    "np": (np.array([0.0, 1.0, 1.0]), None),
+    "sp-index": (np.array([0.0, 1.0, 2.0]), None),
+    "sp-proj": (np.array([0.0, 1.0, 1.0]), 0.5),
+}
+
+
+class TestLooScanProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(sorted(GEOMETRIES)),
+        n=st.sampled_from([3, 4, 17, 60, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                           2 * BLOCK_ROWS + 7]),
+        spread=st.integers(1, 4),
+        isolated=st.integers(0, 3),
+        grid=st.lists(
+            st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-3]),
+                      st.integers(1, 12).map(lambda k: k / 4)),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, mode, n, spread, isolated, grid, seed):
+        # integer covariates on a small lattice repeat rows and put many
+        # neighbours at distance exactly h; far-out rows have no neighbour
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-spread, spread + 1, size=(n, 2)).astype(float)
+        x[: min(isolated, n)] += 100.0 * np.arange(1, min(isolated, n) + 1)[:, None]
+        beta, eps = GEOMETRIES[mode]
+        data = Dataset(y=np.zeros(n), x=x)
+        fs = FirstStepFit(beta=beta, residuals=rng.normal(size=n))
+        e2 = fs.residuals**2
+        points = smoothing_coordinates(data, fs, mode, eps)
+        ref_scores, ref_fractions = dense_loo_criterion(points, e2, grid)
+
+        eligible = [j for j in range(len(grid)) if ref_fractions[j] >= MIN_VALID_FRACTION]
+        if eligible:
+            res = cv_bandwidth(data, fs, mode, grid=grid, eps=eps)
+            scores, fractions = res.scores, res.valid_fraction
+            # the reference's choice, unless another candidate ties with it
+            # to within rounding (then either may win)
+            best = min(ref_scores[j] for j in eligible)
+            tied = {grid[j] for j in eligible if ref_scores[j] <= best * (1 + 1e-12)}
+            assert res.h_cv in tied
+        else:
+            with pytest.raises(BandwidthGridError):
+                cv_bandwidth(data, fs, mode, grid=grid, eps=eps)
+            scores, fractions = _loo_scan(points, e2, np.asarray(grid, dtype=float))
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
+
+    def test_neighbours_at_distance_exactly_h_are_outside(self):
+        # the kernel vanishes at |u| = 1: with h = 1 no point of the unit
+        # lattice 0, 1, 2 has a neighbour strictly inside its window
+        e2 = np.array([1.0, 4.0, 9.0])
+        scores, fractions = _loo_scan(np.array([[0.0], [1.0], [2.0]]), e2, np.array([1.0, 1.5]))
+        assert np.array_equal(fractions, [0.0, 1.0])
+        assert scores[0] == np.mean(e2**2)
+        ref_scores, _ = dense_loo_criterion(np.array([[0.0], [1.0], [2.0]]), e2, [1.0, 1.5])
+        assert scores[1] == pytest.approx(ref_scores[1], rel=1e-12)
+
+    def test_single_point_has_no_evaluable_term(self):
+        scores, fractions = _loo_scan(np.zeros((1, 2)), np.array([4.0]), np.array([1.0, 5.0]))
+        assert np.array_equal(scores, [16.0, 16.0])
+        assert np.array_equal(fractions, [0.0, 0.0])

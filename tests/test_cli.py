@@ -320,20 +320,47 @@ def test_non_finite_number_is_input_error(capsys, derived_csv, tmp_path, argv):
     assert "must be finite" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fit", "--weights", "np", "--bandwidth", "1e200"], "1e+200"),
+        (["fit", "--weights", "sp-index", "--bandwidth", "1e200"], "1e+200"),
+        (["fit", "--weights", "np", "--cv-grid", "1e200:1e201:2"], "1e+201"),
+        (["fit", "--weights", "np", "--cv-grid", "1:1e160:3"], "1e+160"),
+        (["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "1",
+          "--seed", "1", "--methods", "np", "--bandwidth", "1e200"], "1e+200"),
+    ],
+)
+def test_bandwidth_with_overflowing_square_is_input_error(
+    capsys, derived_csv, tmp_path, argv, named
+):
+    extra = ["--data", derived_csv] if argv[0] == "fit" else ["--out", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "input"
+    assert f"bandwidth {named} is too large" in report["message"]
+
+
+def run_module(*argv):
+    """``python -m adaweight`` in a child process that imports this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "adaweight", *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,x1\n0,0\n1,1\n0,2\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "adaweight", "fit", "--data", str(path)],
-            capture_output=True, text=True,
-        )
+        proc = run_module("fit", "--data", str(path))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["beta"][0] == pytest.approx(1 / 3, abs=1e-9)
 
     def test_no_command_prints_usage(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "adaweight"], capture_output=True, text=True
-        )
+        proc = run_module()
         assert proc.returncode == 1
         assert "usage" in proc.stderr

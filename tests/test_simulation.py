@@ -72,6 +72,8 @@ class TestSimConfig:
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=-1.0)
         with pytest.raises(DataError):
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth="tiny")
+        with pytest.raises(DataError, match="1e\\+200 is too large"):
+            SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=1e200)
 
 
 class TestRunReplication:

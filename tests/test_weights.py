@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaweight import (
+    DataError,
     Dataset,
     EpanechnikovKernel,
     IndexDegenerateError,
@@ -23,6 +24,8 @@ from adaweight import (
     generate_sample,
     replication_rng,
 )
+
+from adaweight.weights import _kernel_matrix, pairwise_sq_dists
 
 SQUARE = LossFunction.square()
 
@@ -63,6 +66,20 @@ class TestFirstStep:
         assert np.array_equal(fs.residuals, recomputed)
 
 
+class TestPairwiseSqDists:
+    def test_row_block_matches_dense_matrix(self):
+        rng = np.random.default_rng(49)
+        points = rng.normal(size=(30, 3))
+        dense = pairwise_sq_dists(points)
+        assert np.array_equal(dense, dense.T)
+        assert np.all(np.diag(dense) <= 1e-12)
+        block = pairwise_sq_dists(points[5:12], points)
+        assert block.shape == (7, 30)
+        direct = np.sum((points[5:12, None, :] - points[None, :, :]) ** 2, axis=-1)
+        assert np.allclose(block, direct, rtol=1e-12, atol=1e-12)
+        assert np.all(block >= 0.0)
+
+
 class TestNpWeights:
     def test_constant_residuals_give_constant_ratio(self):
         # g2/g1 pointwise when both transforms are constant: 2/4 = 0.5
@@ -84,6 +101,15 @@ class TestNpWeights:
         w = np_weights(d, loss, fs, h=0.5)
         expected = loss.g2(resid) / loss.g1(resid)
         assert np.allclose(w, expected, rtol=1e-12)
+
+    def test_bandwidth_with_overflowing_square_rejected(self):
+        rng = np.random.default_rng(44)
+        d, _ = heteroscedastic_sample(rng, n=20, q=2)
+        fs = first_step(d, SQUARE)
+        with pytest.raises(DataError, match="1e\\+200 is too large"):
+            np_weights(d, SQUARE, fs, h=1e200)
+        with pytest.raises(DataError, match="too large"):
+            _kernel_matrix(np.zeros((2, 2)), np.float64(1e200), 2)
 
     def test_matches_inverse_smoothed_squared_residuals(self):
         # square loss: g2/g1 smoothing equals (1/2) / NW-smooth of e^2, so the
