@@ -29,9 +29,10 @@ where k counts the neighbours with d2_ij < h^2 (strictly: the kernel is zero
 at |u| = 1) and S_e, S_de, S_d are the prefix sums of e2_j, d2_ij e2_j and
 d2_ij over those k.  Index i is evaluable exactly when k > 0.  The self
 distance is set to +inf before sorting, so the self term is excluded rather
-than subtracted.  Rows go in blocks of BLOCK_ROWS, so memory is
-O(BLOCK_ROWS * n) rather than O(n^2), and the sort costs O(n^2 log n) once
-for the whole grid.
+than subtracted.  The centred coordinates go in blocks of BLOCK_ROWS rows
+(:func:`adaweight.weights.distance_blocks`, shared with the final
+smoother), so memory is O(BLOCK_ROWS * n) rather than O(n^2), and the sort
+costs O(n^2 log n) once for the whole grid.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import BandwidthGridError, DataError
 from .estimators import Dataset
 from .kernels import EpanechnikovKernel
-from .weights import FirstStepFit, pairwise_sq_dists, smoothing_coordinates, squared_bandwidth
+from .weights import FirstStepFit, distance_blocks, smoothing_coordinates, squared_bandwidth
 
 #: Minimum fraction of evaluable leave-one-out terms for a candidate.
 MIN_VALID_FRACTION = 0.8
@@ -51,9 +52,6 @@ MIN_VALID_FRACTION = 0.8
 #: Default number of grid points and half-width factor around the pilot.
 GRID_SIZE = 20
 GRID_SPAN = 4.0
-
-#: Rows per block of the leave-one-out scan.
-BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -102,11 +100,7 @@ def _loo_scan(
     h2 = np.array([squared_bandwidth(h) for h in grid])
     sq_err = np.zeros(grid.size)
     evaluable = np.zeros(grid.size, dtype=np.int64)
-    for start in range(0, n, BLOCK_ROWS):
-        block = slice(start, min(start + BLOCK_ROWS, n))
-        d2 = pairwise_sq_dists(points[block], points)
-        rows = np.arange(d2.shape[0])
-        d2[rows, rows + start] = np.inf
+    for block, d2 in distance_blocks(points, self_d2=np.inf):
         # the self term sorts last and is dropped
         order = np.argsort(d2, axis=1)[:, :-1]
         d2 = np.take_along_axis(d2, order, axis=1)

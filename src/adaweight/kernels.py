@@ -61,6 +61,11 @@ class EpanechnikovKernel:
             return float(out)
         return out
 
-    def profile(self, sq_norm):
-        """Evaluate K from precomputed squared norms |u|^2."""
-        return self.norm_const * np.clip(1.0 - np.asarray(sq_norm, dtype=float), 0.0, None)
+    def profile(self, sq_norm, out=None):
+        """Evaluate K from precomputed squared norms |u|^2.
+
+        With ``out`` (which may be ``sq_norm`` itself) the values are written
+        there and no temporary is allocated.
+        """
+        one_minus = np.subtract(1.0, sq_norm, out=out)
+        return np.multiply(self.norm_const, np.clip(one_minus, 0.0, None, out=out), out=out)

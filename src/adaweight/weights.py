@@ -20,11 +20,18 @@ plus :func:`oracle_weights` for plugging in a known weight map.
 The kernel routes smooth with the Epanechnikov kernel whose dimension is
 that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
 ``"sp-index"``).  Kernel sums include the self term i == j; leave-one-out
-kernels appear only inside bandwidth cross-validation, which sums them
-without a kernel matrix (see :mod:`adaweight.bandwidth`), so
-:func:`_kernel_matrix` now serves only this final smoother.  Denominators
-are floored at 1e-8 of their maximum so the returned sequences are strictly
-positive and finite.
+kernels appear only inside bandwidth cross-validation (see
+:mod:`adaweight.bandwidth`).  The smoother never holds an n x n matrix: it
+takes the rows in blocks of BLOCK_ROWS (:func:`distance_blocks`, shared
+with cross-validation), writes each block's squared distances to all n
+points into one ``(BLOCK_ROWS, n)`` buffer, turns them into kernel values in
+place and reduces the block against g2 and g1 with two matrix-vector
+products, so its memory is O(BLOCK_ROWS * n).  The factors h^-d and 1/n of
+the kernel estimates cancel in N/D and in the relative floor below, so they
+are not applied and no bandwidth can underflow them.  The coordinates are
+centred before the distances are taken, so an offset of the covariates does
+not cost precision.  Numerators and denominators are floored at 1e-8 of
+their maximum so the returned sequences are strictly positive and finite.
 
 A point with no other observation within h smooths only its own residual,
 so its weight is the pointwise ratio g2(e_i)/g1(e_i) (1/(2 e_i^2) for square
@@ -59,6 +66,9 @@ CLAMP_HI = 1e6
 
 #: Smoothing geometries understood by the kernel routes.
 MODES = ("np", "sp-index", "sp-proj")
+
+#: Rows per block of the smoother and of the leave-one-out scan.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -145,15 +155,47 @@ def smoothing_coordinates(
     return data.x @ a_mat
 
 
-def pairwise_sq_dists(rows: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
+def pairwise_sq_dists(
+    rows: np.ndarray, points: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Squared Euclidean distances from each of ``rows`` to each of ``points``.
 
     ``points`` defaults to ``rows``, which gives the dense symmetric matrix.
+    With ``out`` (shape ``(len(rows), len(points))``) the distances are
+    written there.  The sum |a|^2 + |b|^2 is formed before the product a.b
+    is subtracted, which keeps the dense matrix exactly symmetric; the
+    product is the one temporary of the result's shape.
     """
     points = rows if points is None else points
-    sq_rows, sq_points = np.sum(rows**2, axis=1), np.sum(points**2, axis=1)
-    d2 = sq_rows[:, None] + sq_points[None, :] - 2.0 * (rows @ points.T)
+    d2 = np.add.outer(np.sum(rows**2, axis=1), np.sum(points**2, axis=1), out=out)
+    d2 -= (2.0 * rows) @ points.T
     return np.clip(d2, 0.0, None, out=d2)
+
+
+def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
+    """Yield ``(block, d2)`` for consecutive blocks of BLOCK_ROWS rows.
+
+    ``d2`` holds the squared distances from ``points[block]`` to every
+    point.  It is a view of one buffer that the next block overwrites, so a
+    caller may modify it in place but must not keep it.  Each point's
+    distance to itself is set to ``self_d2`` exactly: the expansion leaves a
+    rounding residue there that can exceed a tiny h^2 and drop the self
+    term.  Cross-validation passes +inf to leave the self term out.
+
+    The points are first centred at their coordinate-wise median, so the
+    expansion in :func:`pairwise_sq_dists` loses no precision to an offset
+    of the covariates.  The median is a sample value (or the midpoint of
+    two), so points on an integer lattice stay exact.
+    """
+    points = points - np.median(points, axis=0)
+    n = points.shape[0]
+    buf = np.empty((min(BLOCK_ROWS, n), n))
+    for start in range(0, n, BLOCK_ROWS):
+        block = slice(start, min(start + BLOCK_ROWS, n))
+        d2 = pairwise_sq_dists(points[block], points, out=buf[: block.stop - start])
+        rows = np.arange(d2.shape[0])
+        d2[rows, rows + start] = self_d2
+        yield block, d2
 
 
 def squared_bandwidth(h: float) -> float:
@@ -167,11 +209,6 @@ def squared_bandwidth(h: float) -> float:
     if not np.isfinite(h2):
         raise DataError(f"bandwidth {float(h):g} is too large: its square overflows")
     return h2
-
-
-def _kernel_matrix(d2: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Epanechnikov kernel K_h on R^dim evaluated at squared distances ``d2``."""
-    return EpanechnikovKernel(dim).profile(d2 / squared_bandwidth(h)) * h ** (-dim)
 
 
 def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
@@ -190,13 +227,19 @@ def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _ratio_weights(
-    data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float, points: np.ndarray
+    loss: LossFunction, fs: FirstStepFit, h: float, points: np.ndarray
 ) -> np.ndarray:
+    h2 = squared_bandwidth(h)
+    kernel = EpanechnikovKernel(points.shape[1])
     g1 = loss.g1(fs.residuals)
     g2 = loss.g2(fs.residuals)
-    k_mat = _kernel_matrix(pairwise_sq_dists(points), h, points.shape[1])
-    num = k_mat @ g2 / data.n
-    den = k_mat @ g1 / data.n
+    num = np.empty(points.shape[0])
+    den = np.empty(points.shape[0])
+    for block, d2 in distance_blocks(points):
+        d2 /= h2
+        k = kernel.profile(d2, out=d2)
+        num[block] = k @ g2
+        den[block] = k @ g1
     num = _floor_positive(num, "numerator")
     den = _floor_positive(den, "denominator")
     return num / den
@@ -206,25 +249,21 @@ def np_weights(
     data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float
 ) -> np.ndarray:
     """Nadaraya-Watson weight estimate evaluated at every sample point."""
-    return _ratio_weights(data, loss, fs, h, smoothing_coordinates(data, fs, "np"))
+    return _ratio_weights(loss, fs, h, smoothing_coordinates(data, fs, "np"))
 
 
 def sp_index_weights(
     data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float
 ) -> np.ndarray:
     """Weight estimate smoothing over the scalar first-step index."""
-    return _ratio_weights(
-        data, loss, fs, h, smoothing_coordinates(data, fs, "sp-index")
-    )
+    return _ratio_weights(loss, fs, h, smoothing_coordinates(data, fs, "sp-index"))
 
 
 def sp_projected_weights(
     data: Dataset, loss: LossFunction, fs: FirstStepFit, h: float, eps: float
 ) -> np.ndarray:
     """Weight estimate smoothing in the projected-perturbed geometry."""
-    return _ratio_weights(
-        data, loss, fs, h, smoothing_coordinates(data, fs, "sp-proj", eps)
-    )
+    return _ratio_weights(loss, fs, h, smoothing_coordinates(data, fs, "sp-proj", eps))
 
 
 def evaluate_weight_map(family, x: np.ndarray, beta=None) -> np.ndarray:

@@ -14,9 +14,12 @@ from adaweight import (
     default_grid,
     first_step,
     loo_sigma2,
+    np_weights,
+    sp_index_weights,
+    sp_projected_weights,
 )
-from adaweight.bandwidth import BLOCK_ROWS, MIN_VALID_FRACTION, _loo_scan
-from adaweight.weights import FirstStepFit, smoothing_coordinates
+from adaweight.bandwidth import MIN_VALID_FRACTION, _loo_scan
+from adaweight.weights import BLOCK_ROWS, FirstStepFit, smoothing_coordinates
 
 SQUARE = LossFunction.square()
 
@@ -294,3 +297,35 @@ class TestLooScanProperties:
         scores, fractions = _loo_scan(np.zeros((1, 2)), np.array([4.0]), np.array([1.0, 5.0]))
         assert np.array_equal(scores, [16.0, 16.0])
         assert np.array_equal(fractions, [0.0, 0.0])
+
+
+class TestTranslationInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mode=st.sampled_from(["np", "sp-index", "sp-proj"]),
+        n=st.sampled_from([40, 151, BLOCK_ROWS + 50]),
+        offset=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_offset_covariates_leave_cv_and_weights_unchanged(self, mode, n, offset, seed):
+        # covariates, offsets, slope and eps are dyadic, so x + c and the
+        # smoothing coordinates are exact and only the smoother's own
+        # arithmetic can tell the two samples apart; the first step is fixed
+        rng = np.random.default_rng(seed)
+        dyadic = lambda v: np.round(np.asarray(v) * 2.0**20) / 2.0**20
+        d, fs = random_fit(rng, n=n, q=2)
+        d = Dataset(y=d.y, x=dyadic(d.x))
+        shifted = Dataset(y=d.y, x=d.x + dyadic(offset))
+        fs = FirstStepFit(beta=np.array([0.0, 1.0, 1.0]), residuals=fs.residuals)
+        eps = 0.5 if mode == "sp-proj" else None
+        res = cv_bandwidth(d, fs, mode, eps=eps)
+        res_shifted = cv_bandwidth(shifted, fs, mode, eps=eps)
+        np.testing.assert_allclose(res_shifted.scores, res.scores, rtol=1e-8, atol=0.0)
+        assert list(res_shifted.grid).index(res_shifted.h_cv) == list(res.grid).index(res.h_cv)
+
+        weights = {
+            "np": lambda data: np_weights(data, SQUARE, fs, res.h_cv),
+            "sp-index": lambda data: sp_index_weights(data, SQUARE, fs, res.h_cv),
+            "sp-proj": lambda data: sp_projected_weights(data, SQUARE, fs, res.h_cv, eps),
+        }[mode]
+        np.testing.assert_allclose(weights(shifted), weights(d), rtol=1e-8, atol=0.0)

@@ -15,10 +15,12 @@ from adaweight import (
     epsilon_perturbation,
     first_step,
     fit_wls,
+    generate_sample,
     inverse_variance_map,
     np_weights,
     oracle_weights,
     parametric_weights,
+    replication_rng,
     sandwich_covariance,
     sp_index_weights,
     sp_projected_weights,
@@ -340,6 +342,20 @@ def test_bandwidth_with_overflowing_square_is_input_error(
     report = json.loads(err)
     assert report["error"] == "input"
     assert f"bandwidth {named} is too large" in report["message"]
+
+
+def test_huge_bandwidth_gives_constant_weights(capsys, tmp_path):
+    # at h = 1e120 every kernel value is K(0), so the np weights are
+    # constant; h**-3 underflows to 0 there and must not enter the smoother
+    path = str(tmp_path / "disc.csv")
+    write_csv(path, generate_sample(200, 3, "disc", replication_rng(5, 0))[0])
+    code, out, err = run_cli(capsys, "fit", "--data", path, "--weights", "np",
+                             "--bandwidth", "1e120")
+    assert code == 0, err
+    code_c, out_c, _ = run_cli(capsys, "fit", "--data", path, "--weights", "constant")
+    assert code_c == 0
+    np.testing.assert_allclose(json.loads(out)["beta"], json.loads(out_c)["beta"],
+                               rtol=1e-10, atol=0.0)
 
 
 def run_module(*argv):

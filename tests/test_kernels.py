@@ -73,6 +73,14 @@ class TestEvaluation:
         u = rng.uniform(-1, 1, size=(50, 3))
         assert np.allclose(kernel(u), kernel.profile(np.sum(u**2, axis=1)))
 
+    def test_profile_in_place(self):
+        kernel = EpanechnikovKernel(2)
+        sq = np.array([[0.0, 0.25], [1.0, 4.0]])
+        expected = kernel.profile(sq)
+        out = kernel.profile(sq, out=sq)
+        assert out is sq
+        assert np.array_equal(sq, expected)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("q", range(1, 26))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaweight import (
     DataError,
@@ -25,7 +28,14 @@ from adaweight import (
     replication_rng,
 )
 
-from adaweight.weights import _kernel_matrix, pairwise_sq_dists
+from adaweight.weights import (
+    BLOCK_ROWS,
+    SMOOTHING_FLOOR,
+    FirstStepFit,
+    _ratio_weights,
+    pairwise_sq_dists,
+    smoothing_coordinates,
+)
 
 SQUARE = LossFunction.square()
 
@@ -78,6 +88,9 @@ class TestPairwiseSqDists:
         direct = np.sum((points[5:12, None, :] - points[None, :, :]) ** 2, axis=-1)
         assert np.allclose(block, direct, rtol=1e-12, atol=1e-12)
         assert np.all(block >= 0.0)
+        buf = np.full((7, 30), np.nan)
+        assert pairwise_sq_dists(points[5:12], points, out=buf) is buf
+        assert np.array_equal(buf, block)
 
 
 class TestNpWeights:
@@ -102,14 +115,23 @@ class TestNpWeights:
         expected = loss.g2(resid) / loss.g1(resid)
         assert np.allclose(w, expected, rtol=1e-12)
 
+    def test_tiny_bandwidth_keeps_the_self_term(self):
+        # only the self term lies within h; the rounding residue of the
+        # distance expansion on the diagonal must not push it out
+        rng = np.random.default_rng(46)
+        d, _ = heteroscedastic_sample(rng, n=250, q=2)
+        d = Dataset(y=d.y, x=d.x + 3.0)
+        fs = first_step(d, SQUARE)
+        g1, g2 = SQUARE.g1(fs.residuals), SQUARE.g2(fs.residuals)
+        expected = g2 / np.maximum(g1, SMOOTHING_FLOOR * g1.max())
+        np.testing.assert_allclose(np_weights(d, SQUARE, fs, h=1e-9), expected, rtol=1e-12)
+
     def test_bandwidth_with_overflowing_square_rejected(self):
         rng = np.random.default_rng(44)
         d, _ = heteroscedastic_sample(rng, n=20, q=2)
         fs = first_step(d, SQUARE)
         with pytest.raises(DataError, match="1e\\+200 is too large"):
             np_weights(d, SQUARE, fs, h=1e200)
-        with pytest.raises(DataError, match="too large"):
-            _kernel_matrix(np.zeros((2, 2)), np.float64(1e200), 2)
 
     def test_matches_inverse_smoothed_squared_residuals(self):
         # square loss: g2/g1 smoothing equals (1/2) / NW-smooth of e^2, so the
@@ -435,3 +457,76 @@ class TestPointwiseConsistency:
             return np.median(errs)
 
         assert median_rel_err(1600) < median_rel_err(100)
+
+
+def dense_ratio_weights(points, loss, residuals, h):
+    """Kernel ratio N/D from the full matrix of direct coordinate differences."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    k = np.clip(1.0 - d2 / h**2, 0.0, None)
+    num, den = k @ loss.g2(residuals), k @ loss.g1(residuals)
+    num = np.maximum(num, SMOOTHING_FLOOR * num.max())
+    den = np.maximum(den, SMOOTHING_FLOOR * den.max())
+    return num / den
+
+
+#: Slope and eps per route with exactly representable smoothing coordinates
+#: on integer covariates: an integer slope, and for sp-proj a dyadic eps.
+LATTICE_GEOMETRIES = {
+    "np": (np.array([0.0, 1.0, 1.0]), None),
+    "sp-index": (np.array([0.0, 1.0, 2.0]), None),
+    "sp-proj": (np.array([0.0, 1.0, 1.0]), 0.5),
+}
+
+
+def route_weights(mode, data, loss, fs, h, eps):
+    if mode == "sp-proj":
+        return sp_projected_weights(data, loss, fs, h, eps)
+    return {"np": np_weights, "sp-index": sp_index_weights}[mode](data, loss, fs, h)
+
+
+class TestBlockedSmoother:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(sorted(LATTICE_GEOMETRIES)),
+        n=st.sampled_from([3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+        spread=st.integers(1, 4),
+        isolated=st.integers(0, 3),
+        h=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 12).map(lambda k: k / 4)),
+        loss=st.sampled_from([SQUARE, LossFunction.huber(1.345), LossFunction.power(1.5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, mode, n, spread, isolated, h, loss, seed):
+        # integer covariates on a small lattice repeat rows and put many
+        # neighbours at distance exactly h, where the kernel is zero
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-spread, spread + 1, size=(n, 2)).astype(float)
+        x[: min(isolated, n)] += 100.0 * np.arange(1, min(isolated, n) + 1)[:, None]
+        slope, eps = LATTICE_GEOMETRIES[mode]
+        data = Dataset(y=np.zeros(n), x=x)
+        fs = FirstStepFit(beta=slope, residuals=rng.normal(size=n))
+        reference = dense_ratio_weights(
+            smoothing_coordinates(data, fs, mode, eps), loss, fs.residuals, h
+        )
+        weights = route_weights(mode, data, loss, fs, h, eps)
+        np.testing.assert_allclose(weights, reference, rtol=1e-12, atol=0.0)
+
+    def test_single_point_weight_is_pointwise_ratio(self):
+        # n = 1 is below any Dataset, so this goes through the smoother itself
+        loss = LossFunction.huber(1.0)
+        fs = FirstStepFit(beta=np.zeros(3), residuals=np.array([0.5]))
+        w = _ratio_weights(loss, fs, 1.0, np.array([[3.0, -2.0]]))
+        np.testing.assert_allclose(w, loss.g2(fs.residuals) / loss.g1(fs.residuals), rtol=1e-15)
+
+    def test_memory_stays_in_row_blocks(self):
+        # the blocked smoother needs a few (BLOCK_ROWS, n) buffers, about
+        # 8 MB here; one n x n float64 temporary (32 MB) breaks the bound
+        rng = np.random.default_rng(45)
+        d, _ = heteroscedastic_sample(rng, n=2000, q=2)
+        fs = first_step(d, SQUARE)
+        tracemalloc.start()
+        try:
+            np_weights(d, SQUARE, fs, h=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
