@@ -128,16 +128,17 @@ def loo_sigma2(
 
     Evaluates the kernel directly at the distances from point ``i``,
     independently of the prefix sums in :func:`cv_bandwidth`, so tests can
-    check one against the other.  Returns ``None`` when no other observation
-    falls in the kernel window; that is a value, not an error.
+    check one against the other.  The factor h^-d cancels in the ratio and is
+    not applied, so huge bandwidths do not underflow the kernel mass.
+    Returns ``None`` when no other observation falls in the kernel window;
+    that is a value, not an error.
     """
     if not 0 <= i < data.n:
         raise DataError(f"index {i} outside 0..{data.n - 1}")
     h2 = squared_bandwidth(h)
     points = smoothing_coordinates(data, fs, mode, eps)
-    dim = points.shape[1]
     d2 = np.sum((points - points[i]) ** 2, axis=1)
-    k = EpanechnikovKernel(dim).profile(d2 / h2) * h ** (-dim)
+    k = EpanechnikovKernel(points.shape[1]).profile(d2 / h2)
     k[i] = 0.0
     mass = float(k.sum())
     if mass <= 0:

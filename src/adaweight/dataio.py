@@ -1,5 +1,15 @@
 """CSV ingestion and deterministic serialization.
 
+Fit CSVs are UTF-8 (a leading byte-order mark is ignored), so ingest does
+not depend on the locale.  The header goes through :mod:`csv`; the numeric
+body is parsed in C by :func:`numpy.loadtxt`.  A per-cell loop over
+:func:`csv.reader` rows and :func:`float` remains as the error path: it
+runs only when the C reader rejects the body or returns the wrong number
+of columns, and it either raises the precise :class:`DataError` or accepts
+the cells that :func:`float` takes and ``loadtxt`` does not (quoted
+numbers, ``1_0``, non-ASCII digits).  Both paths accept the same files and
+give the same values.
+
 Floats serialize with 17 significant digits everywhere, so values survive a
 round trip exactly and repeated runs produce byte-identical files.
 """
@@ -9,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -23,52 +34,94 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _open_text(path: str):
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _parse_header(path: str, row: list[str] | None) -> tuple[list[str], int]:
+    """Stripped column names and the index of ``y``."""
+    if row is None:
+        raise DataError(f"{path}: file is empty")
+    header = [name.strip() for name in row]
+    if "y" not in header:
+        raise DataError(f"{path}: required column 'y' is missing from the header")
+    if len(header) < 2:
+        raise DataError(f"{path}: no covariate columns besides 'y'")
+    return header, header.index("y")
+
+
+def _dataset(path: str, y: np.ndarray, x: np.ndarray, q: int) -> Dataset:
+    if y.shape[0] < q + 2:
+        raise DataError(f"{path}: {y.shape[0]} data rows is fewer than q+2={q + 2}")
+    return Dataset(y=y, x=x)
+
+
+def _read_cells(path: str) -> Dataset:
+    """Parse every cell with :func:`float`: the error path of :func:`read_csv`.
+
+    Rows are numbered as records of the file, blank ones included, so error
+    messages give file line numbers.
+    """
+    with _open_text(path) as handle:
+        rows = csv.reader(handle)
+        header, y_col = _parse_header(path, next(rows, None))
+        y_vals, x_rows = [], []
+        for r, row in enumerate(rows, start=2):
+            if not row:
+                continue  # blank line, skipped as csv.DictReader does
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            parsed = []
+            for c, cell in enumerate(row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric value {cell.strip()!r} at row {r}, "
+                        f"column {header[c]!r}"
+                    ) from None
+            y_vals.append(parsed[y_col])
+            x_rows.append([parsed[c] for c in range(len(header)) if c != y_col])
+    return _dataset(path, np.array(y_vals), np.array(x_rows), len(header) - 1)
+
+
 def read_csv(path: str) -> Dataset:
-    """Load a dataset from a headed CSV file.
+    """Load a dataset from a headed UTF-8 CSV file.
 
     The header must contain a column named ``y``; every other column is a
     numeric covariate, kept in file order.  Blank lines are skipped but still
     counted, so error messages give file line numbers.  Decimal parsing
     always uses the dot separator, independent of locale.
+
+    The body is parsed in C by :func:`numpy.loadtxt`, which holds no Python
+    object per cell.  Only when it rejects the body or returns the wrong
+    number of columns does the per-cell path (:func:`_read_cells`) read the
+    file again, to raise the error with its row and column or to accept the
+    cells only :func:`float` parses.  A missing, unreadable or non-UTF-8 file
+    raises :class:`DataError`.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-    header = [name.strip() for name in rows[0]]
-    if "y" not in header:
-        raise DataError(f"{path}: required column 'y' is missing from the header")
-    y_col = header.index("y")
-    cov_names = [name for i, name in enumerate(header) if i != y_col]
-    if not cov_names:
-        raise DataError(f"{path}: no covariate columns besides 'y'")
-
-    y_vals, x_rows = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue  # blank line, skipped as csv.DictReader does
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-        parsed = []
-        for c, cell in enumerate(row):
+    try:
+        with _open_text(path) as handle:
+            header, y_col = _parse_header(path, next(csv.reader(handle), None))
             try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {r}, "
-                    f"column {header[c]!r}"
-                ) from None
-        y_vals.append(parsed[y_col])
-        x_rows.append([parsed[c] for c in range(len(header)) if c != y_col])
-
-    q = len(cov_names)
-    if len(y_vals) < q + 2:
-        raise DataError(
-            f"{path}: {len(y_vals)} data rows is fewer than q+2={q + 2}"
-        )
-    return Dataset(y=np.array(y_vals), x=np.array(x_rows))
+                with warnings.catch_warnings():
+                    # a header-only file warns "input contained no data"
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            except ValueError:  # UnicodeDecodeError too: the per-cell path meets it again
+                table = None
+        if table is None or table.shape[1] != len(header):
+            return _read_cells(path)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: file is not valid UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    y = np.ascontiguousarray(table[:, y_col])
+    x = np.delete(table, y_col, axis=1)  # a C-ordered copy
+    del table  # freed before the dataset builds its design matrix
+    return _dataset(path, y, x, len(header) - 1)
 
 
 def write_csv(path: str, data: Dataset) -> None:

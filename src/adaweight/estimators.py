@@ -17,7 +17,7 @@ Three operations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ class Dataset:
 
     y: np.ndarray
     x: np.ndarray
+    _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -58,6 +59,9 @@ class Dataset:
             )
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
+        design = np.column_stack([np.ones(y.shape[0]), x])
+        design.flags.writeable = False
+        object.__setattr__(self, "_design", design)
 
     @property
     def n(self) -> int:
@@ -68,8 +72,12 @@ class Dataset:
         return self.x.shape[1]
 
     def design_matrix(self) -> np.ndarray:
-        """Augmented design with a leading column of ones."""
-        return np.column_stack([np.ones(self.n), self.x])
+        """Augmented design with a leading column of ones.
+
+        Built once per dataset and read-only: solvers call this on every
+        Newton step, and an in-place write would corrupt every later fit.
+        """
+        return self._design
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ from adaweight import (
     cv_bandwidth,
     default_grid,
     first_step,
+    generate_sample,
     loo_sigma2,
     np_weights,
+    replication_rng,
     sp_index_weights,
     sp_projected_weights,
 )
@@ -72,6 +74,21 @@ class TestLooSigma2:
         d, fs = scalar_dataset()
         with pytest.raises(DataError, match="1e\\+200 is too large"):
             loo_sigma2(d, fs, h=1e200, mode="np", i=0)
+
+    def test_huge_bandwidth_averages_every_other_point(self):
+        # h**-3 underflows to 0 at h = 1e120; the scan counts every point
+        # as evaluable there, and so must the direct smooth
+        d = generate_sample(200, 3, "disc", replication_rng(5, 0))[0]
+        fs = first_step(d, SQUARE)
+        points = smoothing_coordinates(d, fs, "np")
+        _, fraction = _loo_scan(points, fs.residuals**2, np.array([1e120]))
+        assert fraction[0] == 1.0
+        e2 = fs.residuals**2
+        for i in (0, 117):
+            expected = np.delete(e2, i).mean()
+            assert loo_sigma2(d, fs, h=1e120, mode="np", i=i) == pytest.approx(
+                expected, rel=1e-12
+            )
 
 
 class TestCvBandwidth:

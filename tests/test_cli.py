@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaweight import (
     DataError,
@@ -25,8 +29,9 @@ from adaweight import (
     sp_index_weights,
     sp_projected_weights,
 )
+from adaweight import dataio
 from adaweight.cli import main
-from adaweight.dataio import read_csv, to_json_text, write_csv
+from adaweight.dataio import _read_cells, read_csv, to_json_text, write_csv
 
 
 @pytest.fixture
@@ -102,6 +107,172 @@ class TestReadCsv:
         p.write_text("y,x1\n1,2\n\n3\n5,6\n7,8\n")
         with pytest.raises(DataError, match="row 4 has 1 cells, expected 2"):
             read_csv(str(p))
+
+    def test_every_row_too_wide_reports_the_first(self, tmp_path):
+        # a consistent column count parses in C, but not the header's
+        p = tmp_path / "wide.csv"
+        p.write_text("y,x1\n\n1,2,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(DataError, match="row 3 has 3 cells, expected 2"):
+            read_csv(str(p))
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeffy,x1\n1,2\n3,4\n5,7\n", encoding="utf-8")
+        d = read_csv(str(p))
+        assert np.array_equal(d.y, [1.0, 3.0, 5.0])
+
+    def test_columns_are_c_contiguous(self, tmp_path):
+        p = tmp_path / "mid.csv"
+        p.write_text("x1,y,x2\n1,10,2\n3,11,4\n5,12,6\n7,13,8\n")
+        d = read_csv(str(p))
+        assert d.y.flags.c_contiguous and d.x.flags.c_contiguous
+        assert np.array_equal(d.x, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+
+    def test_directory_is_input_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read file"):
+            read_csv(str(tmp_path))
+
+    def test_unreadable_file_is_input_error(self, derived_csv, monkeypatch):
+        # permission bits do not stop a superuser, so the open itself fails here
+        def deny(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(dataio, "_open_text", deny)
+        with pytest.raises(DataError, match="cannot read file: Permission denied"):
+            read_csv(derived_csv)
+
+    def test_non_utf8_byte_is_input_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"y,x1\n1,2\n3,\xe9\n5,7\n")
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            read_csv(str(p))
+
+    def test_non_utf8_byte_inside_the_body(self, tmp_path):
+        # past the first read buffer, so the C reader's read hits it
+        p = tmp_path / "late.csv"
+        body = b"".join(b"%d,%d\n" % (i, i) for i in range(30000))
+        p.write_bytes(b"y,x1\n" + body + b"1,\xff\n")
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            read_csv(str(p))
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "header.csv"
+        p.write_text("y,x1,x2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"0 data rows is fewer than q\+2=4$"):
+                read_csv(str(p))
+
+    def test_memory_holds_no_object_per_cell(self, tmp_path):
+        # the per-cell parse of this file peaks near 37 MB of Python
+        # objects; the C reader holds the table, its split and the design
+        rng = np.random.default_rng(93)
+        path = str(tmp_path / "big.csv")
+        np.savetxt(path, rng.normal(size=(50000, 5)), fmt="%.17g", delimiter=",",
+                   header="y,x1,x2,x3,x4", comments="")
+        tracemalloc.start()
+        try:
+            d = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == 50000 and d.q == 4
+        assert peak <= 8 * 2**20
+
+
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),
+)
+
+
+def format_cell(value: float, style: str) -> str:
+    text = format(value, ".17g")
+    if style == "padded":
+        return f"  {text}\t"
+    if style == "quoted":
+        return f'"{text}"'
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    if style == "underscored" and digits.isdigit() and len(digits) >= 2:
+        return f"{sign}{digits[0]}_{digits[1:]}"
+    return text
+
+
+@st.composite
+def csv_tables(draw):
+    """A table, its y column and its CSV lines: styled cells, blank lines."""
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(q + 2, 12))
+    y_col = draw(st.integers(0, q))
+    names = [f"x{j + 1}" for j in range(q)]
+    names.insert(y_col, "y")
+    table = np.array(draw(st.lists(
+        st.lists(VALUES, min_size=q + 1, max_size=q + 1), min_size=n, max_size=n
+    )))
+    # only quoted and underscored cells send a whole table down the per-cell path
+    styles = st.sampled_from(draw(st.sampled_from([
+        ["plain"], ["plain", "padded"], ["plain", "padded", "quoted", "underscored"],
+    ])))
+    lines = [",".join(names)]
+    for row in table:
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(format_cell(v, draw(styles)) for v in row))
+    return table, y_col, lines
+
+
+def write_lines(path, lines, ending):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(ending.join(lines) + ending)
+
+
+class TestReadCsvPaths:
+    """``read_csv`` (C reader) against ``_read_cells``, its per-cell path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=csv_tables(), ending=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_per_cell_path(self, case, ending):
+        table, y_col, lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            write_lines(path, lines, ending)
+            fast, slow = read_csv(path), _read_cells(path)
+        for d in (fast, slow):
+            assert d.y.tobytes() == np.ascontiguousarray(table[:, y_col]).tobytes()
+            assert d.x.tobytes() == np.delete(table, y_col, axis=1).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=csv_tables(),
+        ending=st.sampled_from(["\n", "\r\n"]),
+        kind=st.sampled_from(["short", "long", "word", "whitespace", "comment"]),
+        at=st.integers(1, 10**6),
+    )
+    def test_malformed_row_gives_per_cell_message(self, case, ending, kind, at):
+        table, y_col, lines = case
+        k = table.shape[1]
+        r = 1 + at % (len(lines) - 1)  # a 0-based line after the header
+        if kind == "short":
+            lines[r] = ",".join(["1"] * (k - 1))
+            expected = f"row {r + 1} has {k - 1} cells, expected {k}"
+        elif kind == "long":
+            lines[r] = ",".join(["1"] * (k + 1))
+            expected = f"row {r + 1} has {k + 1} cells, expected {k}"
+        elif kind == "word":
+            c = at % k
+            lines[r] = ",".join(["oops" if j == c else "1" for j in range(k)])
+            name = "y" if c == y_col else f"x{c + (c < y_col)}"
+            expected = f"non-numeric value 'oops' at row {r + 1}, column {name!r}"
+        else:
+            lines.insert(r, "  " if kind == "whitespace" else "# note")
+            expected = f"row {r + 1} has 1 cells, expected {k}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            write_lines(path, lines, ending)
+            with pytest.raises(DataError) as fast:
+                read_csv(path)
+            with pytest.raises(DataError) as slow:
+                _read_cells(path)
+        assert str(fast.value) == str(slow.value) == f"{path}: {expected}"
 
 
 class TestJsonText:
@@ -344,6 +515,22 @@ def test_bandwidth_with_overflowing_square_is_input_error(
     assert f"bandwidth {named} is too large" in report["message"]
 
 
+@pytest.mark.parametrize("name, content", [
+    ("folder", None),
+    ("latin1.csv", b"y,x1\n1,2\n3,\xe9\n5,7\n"),
+])
+def test_unreadable_data_is_input_error(capsys, tmp_path, name, content):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "fit", "--data", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "input" and report["message"].startswith(f"{path}: ")
+
+
 def test_huge_bandwidth_gives_constant_weights(capsys, tmp_path):
     # at h = 1e120 every kernel value is K(0), so the np weights are
     # constant; h**-3 underflows to 0 there and must not enter the smoother
@@ -375,6 +562,15 @@ class TestSubprocessEntry:
         proc = run_module("fit", "--data", str(path))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["beta"][0] == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_header_only_file_prints_only_the_error(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("y,x1\n")
+        proc = run_module("fit", "--data", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == to_json_text(
+            {"error": "input", "message": f"{path}: 0 data rows is fewer than q+2=3"}
+        )
 
     def test_no_command_prints_usage(self):
         proc = run_module()

@@ -31,6 +31,15 @@ class TestDataset:
         assert d.design_matrix().shape == (5, 3)
         assert np.all(d.design_matrix()[:, 0] == 1.0)
 
+    def test_design_matrix_built_once_and_read_only(self):
+        d = Dataset(y=np.arange(4.0), x=np.arange(8.0).reshape(4, 2))
+        xt = d.design_matrix()
+        assert xt is d.design_matrix()
+        assert xt.flags.c_contiguous and not xt.flags.writeable
+        assert np.array_equal(xt, np.column_stack([np.ones(4), d.x]))
+        with pytest.raises(ValueError):
+            xt[0, 0] = 2.0
+
     def test_1d_covariates_promoted(self):
         d = Dataset(y=np.arange(3.0), x=np.arange(3.0))
         assert d.q == 1
