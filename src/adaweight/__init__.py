@@ -6,7 +6,7 @@ a Monte Carlo harness that measures how close each route comes to the
 optimally weighted reference fit.
 """
 
-from .bandwidth import CvResult, cv_bandwidth, default_grid, loo_sigma2
+from .bandwidth import CvResult, cv_bandwidth, default_grid
 from .errors import (
     BandwidthGridError,
     BandwidthTooSmallError,

@@ -15,24 +15,27 @@ Candidates where fewer than 80% of indices are evaluable are disqualified
 outright.  Ties break toward the smallest bandwidth, so the selection is a
 deterministic function of the data and the grid.
 
-The scan scores the whole grid from one sort (Fan & Marron, *Fast
-implementations of nonparametric curve estimators*, JCGS 3(1), 1994;
+The scan scores the whole grid in one pass over the pairs (Fan & Marron,
+*Fast implementations of nonparametric curve estimators*, JCGS 3(1), 1994;
 Langrené & Warin, *Fast and stable multivariate kernel density estimation by
 fast sum updating*, JCGS 28(3), 2019).  The Epanechnikov kernel is a
 polynomial in |u|^2 on its support, and its constant c_q and the factor
-h^-d cancel in every smooth, so with the neighbours of x_i sorted by squared
-distance d2_ij,
+h^-d cancel in every smooth, so with squared distances d2_ij,
 
     s2_loo(x_i; h) = (S_e - S_de / h^2) / (k - S_d / h^2),
 
 where k counts the neighbours with d2_ij < h^2 (strictly: the kernel is zero
-at |u| = 1) and S_e, S_de, S_d are the prefix sums of e2_j, d2_ij e2_j and
-d2_ij over those k.  Index i is evaluable exactly when k > 0.  The self
-distance is set to +inf before sorting, so the self term is excluded rather
-than subtracted.  The centred coordinates go in blocks of BLOCK_ROWS rows
+at |u| = 1) and S_e, S_de, S_d sum e2_j, d2_ij e2_j and d2_ij over those k.
+Index i is evaluable exactly when k > 0; the self distance is +inf, so the
+self term is in no window.  Each pair inside the largest window is binned by
+the first candidate, in increasing h, whose window holds it, and the sums of
+every (i, h) are prefix sums over the G bins of row i.  A table on the
+leading bits of d2_ij (256 cells per power of two) finds the bin up to the
+candidates sharing a cell, one on the default grid, and a binary search
+settles those.  Rows go in blocks of BLOCK_ROWS
 (:func:`adaweight.weights.distance_blocks`, shared with the final
-smoother), so memory is O(BLOCK_ROWS * n) rather than O(n^2), and the sort
-costs O(n^2 log n) once for the whole grid.
+smoother), so memory is O(BLOCK_ROWS * n); a scan costs O(n^2 + m log s)
+for m in-window pairs and s candidates per cell, with no sort.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import numpy as np
 
 from .errors import BandwidthGridError, DataError
 from .estimators import Dataset
-from .kernels import EpanechnikovKernel
 from .weights import FirstStepFit, distance_blocks, smoothing_coordinates, squared_bandwidth
 
 #: Minimum fraction of evaluable leave-one-out terms for a candidate.
@@ -52,6 +54,10 @@ MIN_VALID_FRACTION = 0.8
 #: Default number of grid points and half-width factor around the pilot.
 GRID_SIZE = 20
 GRID_SPAN = 4.0
+
+#: Right shift of a squared distance's bits that leaves its exponent and 8
+#: mantissa bits: the bin table has 256 cells per power of two.
+TABLE_SHIFT = 44
 
 
 @dataclass(frozen=True)
@@ -85,66 +91,46 @@ def _grid_around_pilot(points: np.ndarray) -> np.ndarray:
     return np.geomspace(pilot / GRID_SPAN, pilot * GRID_SPAN, GRID_SIZE)
 
 
-def _window_sums(values: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Sum of the first ``k[i, j]`` entries of row i of ``values``, for every j."""
-    sums = np.zeros((values.shape[0], values.shape[1] + 1))
-    np.cumsum(values, axis=1, out=sums[:, 1:])
-    return np.take_along_axis(sums, k, axis=1)
-
-
 def _loo_scan(
     points: np.ndarray, e2: np.ndarray, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores and evaluable fractions of every candidate (module docstring)."""
     n = points.shape[0]
-    h2 = np.array([squared_bandwidth(h) for h in grid])
-    sq_err = np.zeros(grid.size)
-    evaluable = np.zeros(grid.size, dtype=np.int64)
+    h2s, where = np.unique([squared_bandwidth(h) for h in grid], return_inverse=True)
+    g = h2s.size
+    # table cell c: leading bits c0 + c (lower ones in cell 0), start[c]
+    # candidates below it; h2pad pads the binary search within a cell
+    c0, c1 = h2s[[0, -1]].view(np.int64) >> TABLE_SHIFT
+    start = np.searchsorted(h2s, (np.arange(c0, c1 + 1) << TABLE_SHIFT).view(float))
+    depth = int(np.max(np.diff(start, append=g))).bit_length()
+    h2pad = np.append(h2s, np.full(1 << depth, np.inf))
+    sq_err = np.zeros(g)
+    evaluable = np.zeros(g, dtype=np.int64)
     for block, d2 in distance_blocks(points, self_d2=np.inf):
-        # the self term sorts last and is dropped
-        order = np.argsort(d2, axis=1)[:, :-1]
-        d2 = np.take_along_axis(d2, order, axis=1)
-        e2_sorted = e2[order]
-        k = np.array([np.searchsorted(row, h2, side="left") for row in d2])
-        s_e, s_de, s_d = (_window_sums(v, k) for v in (e2_sorted, d2 * e2_sorted, d2))
+        r = d2.shape[0]
+        flat = np.flatnonzero(d2 < h2s[-1])
+        dist = d2.ravel()[flat]
+        cell = dist.view(np.int64) >> TABLE_SHIFT
+        cell -= c0
+        cell = start[np.maximum(cell, 0, out=cell)]
+        for step in (1 << k for k in reversed(range(depth))):
+            np.add(cell, step, out=cell, where=dist >= h2pad[step - 1:][cell])
+        cell += flat // n * g  # (row, bin) in row-major order
+        flat %= n  # the columns
+        ec = e2[flat]
+        del flat
+        sums = [np.bincount(cell, weights=w, minlength=r * g) for w in (None, ec, dist)]
+        ec *= dist
+        sums.append(np.bincount(cell, weights=ec, minlength=r * g))
+        del dist, cell, ec
+        k, s_e, s_d, s_de = (np.cumsum(s.reshape(r, g), axis=1) for s in sums)
         valid = k > 0
         predicted = np.divide(
-            s_e - s_de / h2, k - s_d / h2, out=np.zeros(k.shape), where=valid
+            s_e - s_de / h2s, k - s_d / h2s, out=np.zeros(k.shape), where=valid
         )
         sq_err += np.sum((e2[block, None] - predicted) ** 2, axis=0)
         evaluable += np.sum(valid, axis=0)
-    return sq_err / n, evaluable / n
-
-
-def loo_sigma2(
-    data: Dataset,
-    fs: FirstStepFit,
-    h: float,
-    mode: str,
-    i: int,
-    eps: float | None = None,
-) -> float | None:
-    """Leave-one-out variance smooth at sample point ``i`` (0-based).
-
-    Evaluates the kernel directly at the distances from point ``i``,
-    independently of the prefix sums in :func:`cv_bandwidth`, so tests can
-    check one against the other.  The factor h^-d cancels in the ratio and is
-    not applied, so huge bandwidths do not underflow the kernel mass.
-    Returns ``None`` when no other observation falls in the kernel window;
-    that is a value, not an error.
-    """
-    if not 0 <= i < data.n:
-        raise DataError(f"index {i} outside 0..{data.n - 1}")
-    h2 = squared_bandwidth(h)
-    points = smoothing_coordinates(data, fs, mode, eps)
-    d2 = np.sum((points - points[i]) ** 2, axis=1)
-    k = EpanechnikovKernel(points.shape[1]).profile(d2 / h2)
-    k[i] = 0.0
-    mass = float(k.sum())
-    if mass <= 0:
-        return None
-    e2 = fs.residuals**2
-    return float((k @ e2) / mass)
+    return sq_err[where] / n, evaluable[where] / n
 
 
 def cv_bandwidth(

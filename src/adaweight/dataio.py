@@ -38,8 +38,19 @@ def _open_text(path: str):
     return open(path, newline="", encoding="utf-8-sig")
 
 
-def _parse_header(path: str, row: list[str] | None) -> tuple[list[str], int]:
-    """Stripped column names and the index of ``y``."""
+def _records(path: str, handle):
+    """``(number from 1, cells)`` per record, with csv's errors as DataError."""
+    r = 0
+    try:
+        for r, row in enumerate(csv.reader(handle), start=1):
+            yield r, row
+    except csv.Error as exc:  # a cell over the field size limit, a global left as is
+        raise DataError(f"{path}: row {r + 1} cannot be read as CSV: {exc}") from None
+
+
+def _parse_header(path: str, records) -> tuple[list[str], int]:
+    """Stripped column names and the index of ``y``, from the first record."""
+    _, row = next(records, (None, None))
     if row is None:
         raise DataError(f"{path}: file is empty")
     header = [name.strip() for name in row]
@@ -63,10 +74,10 @@ def _read_cells(path: str) -> Dataset:
     messages give file line numbers.
     """
     with _open_text(path) as handle:
-        rows = csv.reader(handle)
-        header, y_col = _parse_header(path, next(rows, None))
+        records = _records(path, handle)
+        header, y_col = _parse_header(path, records)
         y_vals, x_rows = [], []
-        for r, row in enumerate(rows, start=2):
+        for r, row in records:
             if not row:
                 continue  # blank line, skipped as csv.DictReader does
             if len(row) != len(header):
@@ -104,7 +115,7 @@ def read_csv(path: str) -> Dataset:
         raise DataError(f"no such file: {path}")
     try:
         with _open_text(path) as handle:
-            header, y_col = _parse_header(path, next(csv.reader(handle), None))
+            header, y_col = _parse_header(path, _records(path, handle))
             try:
                 with warnings.catch_warnings():
                     # a header-only file warns "input contained no data"

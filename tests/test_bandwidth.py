@@ -9,19 +9,24 @@ from adaweight import (
     CvResult,
     DataError,
     Dataset,
+    EpanechnikovKernel,
     LossFunction,
     cv_bandwidth,
     default_grid,
     first_step,
     generate_sample,
-    loo_sigma2,
     np_weights,
     replication_rng,
     sp_index_weights,
     sp_projected_weights,
 )
 from adaweight.bandwidth import MIN_VALID_FRACTION, _loo_scan
-from adaweight.weights import BLOCK_ROWS, FirstStepFit, smoothing_coordinates
+from adaweight.weights import (
+    BLOCK_ROWS,
+    FirstStepFit,
+    smoothing_coordinates,
+    squared_bandwidth,
+)
 
 SQUARE = LossFunction.square()
 
@@ -29,6 +34,37 @@ SQUARE = LossFunction.square()
 def scalar_dataset():
     d = Dataset(y=np.array([0.0, 1.0, 0.0]), x=np.array([[0.0], [1.0], [2.0]]))
     return d, first_step(d, SQUARE)
+
+
+def loo_sigma2(
+    data: Dataset,
+    fs: FirstStepFit,
+    h: float,
+    mode: str,
+    i: int,
+    eps: float | None = None,
+) -> float | None:
+    """Leave-one-out variance smooth at sample point ``i`` (0-based).
+
+    Evaluates the kernel directly at the distances from point ``i``,
+    independently of the prefix sums in :func:`cv_bandwidth`, so tests can
+    check one against the other.  The factor h^-d cancels in the ratio and is
+    not applied, so huge bandwidths do not underflow the kernel mass.
+    Returns ``None`` when no other observation falls in the kernel window;
+    that is a value, not an error.
+    """
+    if not 0 <= i < data.n:
+        raise DataError(f"index {i} outside 0..{data.n - 1}")
+    h2 = squared_bandwidth(h)
+    points = smoothing_coordinates(data, fs, mode, eps)
+    d2 = np.sum((points - points[i]) ** 2, axis=1)
+    k = EpanechnikovKernel(points.shape[1]).profile(d2 / h2)
+    k[i] = 0.0
+    mass = float(k.sum())
+    if mass <= 0:
+        return None
+    e2 = fs.residuals**2
+    return float((k @ e2) / mass)
 
 
 def random_fit(rng, n=40, q=2):
@@ -176,7 +212,7 @@ class TestCvBandwidth:
             cv_bandwidth(d, fs, "np", grid=[1.0, np.nan])
 
     def test_memory_stays_in_row_blocks(self):
-        # the blocked scan peaks near 20 MB here; one n x n float64 temporary
+        # the binned scan peaks near 9 MB here; one n x n float64 temporary
         # adds 32 MB and breaks the bound (the dense scan peaked at 153 MB)
         rng = np.random.default_rng(86)
         d, fs = random_fit(rng, n=2000, q=2)
@@ -187,6 +223,24 @@ class TestCvBandwidth:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
+
+    @pytest.mark.parametrize("grid", [None, [50.0, 60.0]], ids=["default", "covering"])
+    def test_memory_stays_in_row_blocks_at_n_4000(self, grid):
+        # on the default grid a minority of pairs lie in the largest window
+        # (peak near 16 MB); on the covering grid every pair does, and the
+        # arrays of a block's pairs peak near 40 MB; one n x n float64
+        # temporary would add 128 MB
+        rng = np.random.default_rng(87)
+        d, fs = random_fit(rng, n=4000, q=2)
+        tracemalloc.start()
+        try:
+            res = cv_bandwidth(d, fs, "np", grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+        if grid is not None:
+            assert np.array_equal(res.valid_fraction, [1.0, 1.0])
 
     def test_sp_modes_run(self):
         rng = np.random.default_rng(79)
@@ -309,6 +363,68 @@ class TestLooScanProperties:
         assert scores[0] == np.mean(e2**2)
         ref_scores, _ = dense_loo_criterion(np.array([[0.0], [1.0], [2.0]]), e2, [1.0, 1.5])
         assert scores[1] == pytest.approx(ref_scores[1], rel=1e-12)
+
+    def test_descending_grid_with_repeats_is_the_sorted_grid_permuted(self):
+        rng = np.random.default_rng(88)
+        points = rng.integers(-3, 4, size=(300, 2)).astype(float)
+        e2 = rng.normal(size=300) ** 2
+        grid = np.array([3.0, 2.0, 2.0, 1.5, 1.0, 0.5])
+        order = np.argsort(grid, kind="stable")
+        scores, fractions = _loo_scan(points, e2, grid)
+        sorted_scores, sorted_fractions = _loo_scan(points, e2, grid[order])
+        assert np.array_equal(scores[order], sorted_scores)
+        assert np.array_equal(fractions[order], sorted_fractions)
+        assert scores[1] == scores[2]
+        ref_scores, ref_fractions = dense_loo_criterion(points, e2, grid)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
+
+    def test_candidates_holding_every_pair_and_none(self):
+        # distinct points of a unit lattice: h = 0.5 holds no pair, h = 1e8
+        # holds every pair with kernel weights equal to rel 1e-14, and
+        # h = 1.5 sits in between
+        rng = np.random.default_rng(89)
+        points = np.argwhere(np.ones((10, 12))).astype(float)
+        e2 = rng.normal(size=points.shape[0]) ** 2
+        grid = np.array([1e8, 0.5, 1.5])
+        scores, fractions = _loo_scan(points, e2, grid)
+        assert np.array_equal(fractions, [1.0, 0.0, 1.0])
+        assert scores[1] == pytest.approx(np.mean(e2**2), rel=1e-14)
+        loo_mean = (e2.sum() - e2) / (e2.size - 1)
+        ref_scores, _ = dense_loo_criterion(points, e2, grid)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scores[0], np.mean((e2 - loo_mean) ** 2), rtol=1e-12)
+
+    def test_candidates_sharing_a_table_cell(self):
+        # the bin table has 256 cells per power of two; these h^2 = (1 + k
+        # 2^-21)^2 share one cell, the points put pairs at each of them
+        # exactly, and a pair at 1 + 2^-12 needs a step past all four
+        steps = 1.0 + np.arange(4) * 2.0**-21
+        x = np.concatenate([[0.0, 0.5, 2.0, 1.0 + 2.0**-12], steps, -steps, [3.0]])
+        points = np.repeat(x, 2)[:, None]
+        e2 = np.random.default_rng(91).normal(size=points.shape[0]) ** 2
+        grid = np.array([steps[3], steps[0], steps[2], steps[1], steps[2], 0.75, 1.5])
+        scores, fractions = _loo_scan(points, e2, grid)
+        ref_scores, ref_fractions = dense_loo_criterion(points, e2, grid)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
+        assert len(set(scores[:4])) == 4
+
+    def test_isolated_point_across_blocks(self):
+        # three blocks, the last one short; the isolated row sits in the
+        # last block, so its e^4 term lands on the right index only if every
+        # block is offset correctly
+        n = 2 * BLOCK_ROWS + 7
+        rng = np.random.default_rng(90)
+        points = rng.integers(-4, 5, size=(n, 2)).astype(float)
+        points[n - 3] = [1000.0, -1000.0]
+        e2 = rng.normal(size=n) ** 2
+        grid = np.array([0.75, 1.0, 2.0, 5.0])
+        scores, fractions = _loo_scan(points, e2, grid)
+        ref_scores, ref_fractions = dense_loo_criterion(points, e2, grid)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
+        assert fractions[-1] == (n - 1) / n
 
     def test_single_point_has_no_evaluable_term(self):
         scores, fractions = _loo_scan(np.zeros((1, 2)), np.array([4.0]), np.array([1.0, 5.0]))

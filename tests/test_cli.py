@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -153,6 +154,22 @@ class TestReadCsv:
         body = b"".join(b"%d,%d\n" % (i, i) for i in range(30000))
         p.write_bytes(b"y,x1\n" + body + b"1,\xff\n")
         with pytest.raises(DataError, match="not valid UTF-8"):
+            read_csv(str(p))
+
+    def test_overlong_header_name_is_input_error(self, tmp_path):
+        # csv's default field limit is 131072 characters; it stays unchanged
+        p = tmp_path / "long_name.csv"
+        p.write_text("y," + "a" * 140000 + "\n1,2\n3,4\n5,6\n")
+        limit = csv.field_size_limit()
+        with pytest.raises(DataError, match=r"long_name\.csv: row 1 cannot be read as CSV"):
+            read_csv(str(p))
+        assert csv.field_size_limit() == limit
+
+    def test_overlong_quoted_cell_is_input_error(self, tmp_path):
+        # the quote sends the body to the per-cell path, which meets the limit
+        p = tmp_path / "long_cell.csv"
+        p.write_text('y,x1\n1,2\n\n3,"' + "1" * 140000 + '"\n5,6\n7,8\n')
+        with pytest.raises(DataError, match=r"long_cell\.csv: row 4 cannot be read as CSV"):
             read_csv(str(p))
 
     def test_header_only_file_warns_nothing(self, tmp_path):
@@ -518,6 +535,8 @@ def test_bandwidth_with_overflowing_square_is_input_error(
 @pytest.mark.parametrize("name, content", [
     ("folder", None),
     ("latin1.csv", b"y,x1\n1,2\n3,\xe9\n5,7\n"),
+    ("long_name.csv", b"y," + b"a" * 140000 + b"\n1,2\n3,4\n5,6\n"),
+    ("long_cell.csv", b'y,x1\n1,2\n3,"' + b"1" * 140000 + b'"\n5,6\n7,8\n'),
 ])
 def test_unreadable_data_is_input_error(capsys, tmp_path, name, content):
     path = tmp_path / name
