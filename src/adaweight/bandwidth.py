@@ -113,7 +113,7 @@ def _loo_scan(
         cell = dist.view(np.int64) >> TABLE_SHIFT
         cell -= c0
         cell = start[np.maximum(cell, 0, out=cell)]
-        for step in (1 << k for k in reversed(range(depth))):
+        for step in (1 << b for b in reversed(range(depth))):
             np.add(cell, step, out=cell, where=dist >= h2pad[step - 1:][cell])
         cell += flat // n * g  # (row, bin) in row-major order
         flat %= n  # the columns

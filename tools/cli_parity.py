@@ -16,7 +16,7 @@ gives the worst relative difference per kind of field: beta, standard
 errors, CV scores, weight summaries, ``errors.csv``, ``summary.json`` and
 other numbers.  A record whose exit code, text or structure changed is
 listed as different.  The exit status is 0 when no record differs and no
-number moved by more than ``--rtol``, else 1.
+number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
 The command set: three CSVs (q = 1, 2, 3) x three losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
@@ -40,6 +40,7 @@ import numpy as np
 
 LOSSES = ("square", "huber:1.345", "power:1.5")
 CSV_SIZES = {"q1": (1, 150), "q2": (2, 250), "q3": (3, 300)}
+RTOL = 1e-12  # largest relative move of a number that passes
 
 
 def fit_csv_text(q: int, n: int, seed: int) -> str:
@@ -282,8 +283,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent tree")
     parser.add_argument("--change", required=True, help="checkout of the changed tree")
-    parser.add_argument("--rtol", type=float, default=1e-12,
-                        help="largest relative move of a number that passes")
     parser.add_argument("--json", help="write the full report to this file")
     args = parser.parse_args(argv)
     cmds = command_set()
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
         print(f"  worst rel {kind}: {rel:.3g}")
     for name, diff in report["different"].items():
         print(f"  different: {name} ({diff['part']})")
-    too_far = max(report["worst_rel_by_kind"].values(), default=0.0) > args.rtol
+    too_far = max(report["worst_rel_by_kind"].values(), default=0.0) > RTOL
     return 1 if report["different"] or too_far else 0
 
 
