@@ -205,6 +205,17 @@ def fit_weighted_m(
     at most ``tol``; a fit that exhausts ``max_iter`` is returned with
     ``converged=False`` and its final gradient norm, never silently.
 
+    With the data, loss and weights fixed, one iteration is a pure function
+    of the iterate's bits.  An iterate met a second time therefore starts a
+    cycle the solver would repeat until ``max_iter``: first seen at
+    iteration j and met again at iteration k, it recurs with period
+    ``k - j``.  The solver stops there and returns the iterate the full
+    run would end on, ``history[j + (max_iter - j) % (k - j)]``, with that
+    iterate's certificate.  This happens where ``tol`` is out of reach of
+    the rounding of the estimating equation, as with power losses near a
+    zero residual.  ``iterations`` counts the Newton-map iterations that
+    the returned ``beta`` stands for, so such a fit reports ``max_iter``.
+
     Parameters
     ----------
     data : Dataset
@@ -212,13 +223,18 @@ def fit_weighted_m(
     weights : array_like
         n nonnegative reals.
     tol : float
-        Bound on the estimating-equation max-norm.
+        Bound on the estimating-equation max-norm, nonnegative.
     max_iter : int
-        Newton iteration cap.
+        Newton iteration cap, nonnegative.
     init : array_like, optional
-        Starting coefficients; defaults to the unweighted square-loss fit.
+        Finite starting coefficients; defaults to the unweighted square-loss
+        fit.
     """
     w = _check_weights(data, weights)
+    if not tol >= 0:
+        raise DataError(f"tol must be a nonnegative number, got {tol!r}")
+    if max_iter < 0:
+        raise DataError(f"max_iter must be nonnegative, got {max_iter!r}")
     xt = data.design_matrix()
     if init is None:
         beta = fit_wls(data, np.ones(data.n)).beta.copy()
@@ -226,12 +242,26 @@ def fit_weighted_m(
         beta = np.asarray(init, dtype=float).copy()
         if beta.shape != (1 + data.q,):
             raise DataError(f"init must have length {1 + data.q}")
+        if not np.all(np.isfinite(beta)):
+            raise DataError("init contains non-finite entries")
 
+    # iterate bytes -> first iteration index; history[j] = (iterate, its grad).
+    # Bytes, not values: +0 and -0 differ in bits, and NaN equals itself.
+    seen: dict[bytes, int] = {}
+    history: list[tuple[np.ndarray, np.ndarray]] = []
+    grad = None  # estimating equation at beta, when already evaluated
     iterations = 0
-    for _ in range(max_iter):
+    for k in range(max_iter):
+        j = seen.setdefault(beta.tobytes(), k)
+        if j < k:
+            beta, grad = history[j + (max_iter - j) % (k - j)]
+            iterations = max_iter
+            break
         e = data.y - xt @ beta
-        score = loss.rho_prime(np.abs(e)) * np.sign(e)
-        grad = xt.T @ (w * score) / data.n
+        if grad is None:
+            score = loss.rho_prime(np.abs(e)) * np.sign(e)
+            grad = xt.T @ (w * score) / data.n
+        history.append((beta, grad))
         if np.max(np.abs(grad)) <= tol:
             break
         curv = w * loss.rho_second(np.abs(e))
@@ -243,6 +273,7 @@ def fit_weighted_m(
         else:
             step = _irls_target(data, loss, w, xt, e) - beta
         candidate = None
+        next_grad = None
         t = 1.0
         if newton_ok:
             # near the solution the objective sits on its roundoff plateau
@@ -251,35 +282,39 @@ def fit_weighted_m(
             full = beta + step
             full_grad = estimating_equation(data, loss, w, full)
             if np.max(np.abs(full_grad)) < np.max(np.abs(grad)):
-                candidate = full
+                candidate, next_grad = full, full_grad
         if candidate is None:
-            # step halving on the weighted objective
-            current = _objective(data, loss, w, xt, beta)
+            # step halving on the weighted objective; ``current`` is
+            # _objective at beta, from this iteration's own residuals
+            current = float(np.mean(w * loss.rho(np.abs(e))))
             for _ in range(40):
                 trial = beta + t * step
-                if _objective(data, loss, w, xt, trial) <= current:
+                value = _objective(data, loss, w, xt, trial)
+                if value <= current:
                     candidate = trial
                     break
                 t *= 0.5
         if newton_ok and t < 1.0:
             # a damped Newton step means the local quadratic model is poor
             # (curvature spikes near zero residuals for power losses); the
-            # IRLS point is often better there
+            # IRLS point is often better there.  t < 1 means the candidate,
+            # if any, is the accepted halving trial, of objective ``value``
             try:
                 irls_point = _irls_target(data, loss, w, xt, e)
             except DegenerateDesignError:
                 irls_point = None
             if irls_point is not None:
-                floor = _objective(data, loss, w, xt, candidate) if candidate is not None else current
+                floor = value if candidate is not None else current
                 if _objective(data, loss, w, xt, irls_point) <= floor:
                     candidate = irls_point
         iterations += 1
         if candidate is None:
             break
-        beta = candidate
+        beta, grad = candidate, next_grad
 
-    final = estimating_equation(data, loss, w, beta)
-    gnorm = float(np.max(np.abs(final)))
+    if grad is None:
+        grad = estimating_equation(data, loss, w, beta)
+    gnorm = float(np.max(np.abs(grad)))
     return FitResult(
         beta=beta,
         weights=w,

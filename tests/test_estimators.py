@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from adaweight import estimators as est
 from adaweight import (
     Dataset,
     DataError,
@@ -12,8 +14,15 @@ from adaweight import (
     fit_wls,
     sandwich_covariance,
 )
+from adaweight.simulation import generate_sample, inverse_variance_map, replication_rng
+from adaweight.weights import oracle_weights
 
 SQUARE = LossFunction.square()
+NON_SQUARE = {
+    "huber:1.345": LossFunction.huber(1.345),
+    "power:1.5": LossFunction.power(1.5),
+    "power:1.2": LossFunction.power(1.2),
+}
 
 
 def random_instance(rng, n=50, q=3):
@@ -197,6 +206,188 @@ class TestFitWeightedM:
         b1 = fit_weighted_m(d, LossFunction.huber(1.0), w).beta
         b2 = fit_weighted_m(d, LossFunction.huber(1.0), 37.0 * w).beta
         assert np.max(np.abs(b1 - b2)) <= 1e-8
+
+
+def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
+                             init=None, iterates=None):
+    """The solver loop with no repeat stop and no reuse of evaluated points.
+
+    Every iteration recomputes everything from its starting point.  When
+    ``iterates`` is a list it receives every iterate, the returned one last.
+    """
+    w = est._check_weights(data, weights)
+    xt = data.design_matrix()
+    if init is None:
+        beta = fit_wls(data, np.ones(data.n)).beta.copy()
+    else:
+        beta = np.asarray(init, dtype=float).copy()
+
+    iterations = 0
+    for _ in range(max_iter):
+        if iterates is not None:
+            iterates.append(beta)
+        e = data.y - xt @ beta
+        score = loss.rho_prime(np.abs(e)) * np.sign(e)
+        grad = xt.T @ (w * score) / data.n
+        if np.max(np.abs(grad)) <= tol:
+            break
+        curv = w * loss.rho_second(np.abs(e))
+        hess = (xt * curv[:, None]).T @ xt / data.n
+        cond = np.linalg.cond(hess)
+        newton_ok = np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN
+        if newton_ok:
+            step = np.linalg.solve(hess, grad)
+        else:
+            step = est._irls_target(data, loss, w, xt, e) - beta
+        candidate = None
+        t = 1.0
+        if newton_ok:
+            full = beta + step
+            full_grad = estimating_equation(data, loss, w, full)
+            if np.max(np.abs(full_grad)) < np.max(np.abs(grad)):
+                candidate = full
+        if candidate is None:
+            current = est._objective(data, loss, w, xt, beta)
+            for _ in range(40):
+                trial = beta + t * step
+                if est._objective(data, loss, w, xt, trial) <= current:
+                    candidate = trial
+                    break
+                t *= 0.5
+        if newton_ok and t < 1.0:
+            try:
+                irls_point = est._irls_target(data, loss, w, xt, e)
+            except DegenerateDesignError:
+                irls_point = None
+            if irls_point is not None:
+                floor = est._objective(data, loss, w, xt, candidate) if candidate is not None else current
+                if est._objective(data, loss, w, xt, irls_point) <= floor:
+                    candidate = irls_point
+        iterations += 1
+        if candidate is None:
+            break
+        beta = candidate
+
+    if iterates is not None:
+        iterates.append(beta)
+    final = estimating_equation(data, loss, w, beta)
+    gnorm = float(np.max(np.abs(final)))
+    return est.FitResult(beta=beta, weights=w, iterations=iterations,
+                         converged=bool(gnorm <= tol), gradient_norm=gnorm)
+
+
+def outcome(solver, *args, **kwargs):
+    """Everything a fit returns, as bits, or the error it raised."""
+    try:
+        fit = solver(*args, **kwargs)
+    except DegenerateDesignError as exc:
+        return "raised", str(exc)
+    return fit.beta.tobytes(), fit.gradient_norm.hex(), fit.converged, fit.iterations
+
+
+def first_repeat(iterates):
+    """``(j, period)`` of the first iterate seen twice, or None."""
+    seen = {}
+    for k, beta in enumerate(iterates):
+        j = seen.setdefault(beta.tobytes(), k)
+        if j < k:
+            return j, k - j
+    return None
+
+
+def oracle_case(r):
+    """A power:1.2 oracle fit input from the smooth-scale design, n = 100."""
+    data, beta0 = generate_sample(100, 2, "smooth", replication_rng(1, r))
+    family = inverse_variance_map("smooth")
+    return data, oracle_weights(lambda x: family(x, beta0), data)
+
+
+# power:1.2 oracle fits whose Newton map stalls: a fixed point (r = 2) and
+# cycles of period 2, 3 and 5 (r = 13, 31, 5); r = 0 converges
+STALLED = (2, 13, 31, 5)
+MAX_ITERS = [*range(1, 61), 100]
+
+
+class TestRepeatStop:
+    def test_cases_stall_at_a_fixed_point_and_in_a_cycle(self):
+        # on the reference loop's own history, so the sweep below cannot
+        # go vacuous where another BLAS rounds these fits differently
+        periods = set()
+        for r in STALLED:
+            data, w = oracle_case(r)
+            iterates = []
+            reference_fit_weighted_m(data, NON_SQUARE["power:1.2"], w, iterates=iterates)
+            repeat = first_repeat(iterates[:-1])
+            if repeat is not None:
+                periods.add(repeat[1])
+        assert 1 in periods
+        assert max(periods) >= 2
+
+    @pytest.mark.parametrize("r", (0, *STALLED))
+    def test_matches_reference_at_every_max_iter(self, r):
+        data, w = oracle_case(r)
+        loss = NON_SQUARE["power:1.2"]
+        for max_iter in MAX_ITERS:
+            assert outcome(fit_weighted_m, data, loss, w, max_iter=max_iter) == \
+                outcome(reference_fit_weighted_m, data, loss, w, max_iter=max_iter), max_iter
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        loss=st.sampled_from(sorted(NON_SQUARE)),
+        n=st.integers(8, 120),
+        q=st.integers(1, 3),
+        max_iter=st.sampled_from([0, 1, 2, 7, 30, 100]),
+        far_init=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_on_random_instances(self, loss, n, q, max_iter, far_init,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        data, w = random_instance(rng, n=n, q=q)
+        init = rng.normal(scale=20.0, size=1 + q) if far_init else None
+        kwargs = dict(max_iter=max_iter, init=init)
+        assert outcome(fit_weighted_m, data, NON_SQUARE[loss], w, **kwargs) == \
+            outcome(reference_fit_weighted_m, data, NON_SQUARE[loss], w, **kwargs)
+
+    def test_stalled_fit_evaluates_far_less(self, monkeypatch):
+        calls = []
+        objective = est._objective
+        monkeypatch.setattr(est, "_objective", lambda *a: calls.append(1) or objective(*a))
+        data, w = oracle_case(STALLED[0])
+        loss = NON_SQUARE["power:1.2"]
+        fit = fit_weighted_m(data, loss, w)
+        solver_calls = len(calls)
+        calls.clear()
+        reference = reference_fit_weighted_m(data, loss, w)
+        assert fit.iterations == reference.iterations == 100
+        assert 0 < solver_calls < len(calls) / 3
+
+
+class TestFitWeightedMInputs:
+    def setup_method(self):
+        self.data, self.w = random_instance(np.random.default_rng(28), n=30, q=2)
+
+    @pytest.mark.parametrize("init", ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                      [0.0, 0.0, -np.inf]))
+    def test_non_finite_init_rejected(self, init):
+        with pytest.raises(DataError, match="init"):
+            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, init=init)
+
+    @pytest.mark.parametrize("tol", (np.nan, -1e-10, -np.inf))
+    def test_nan_or_negative_tol_rejected(self, tol):
+        with pytest.raises(DataError, match="tol"):
+            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, tol=tol)
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(DataError, match="max_iter"):
+            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, max_iter=-1)
+
+    def test_zero_max_iter_returns_init(self):
+        init = np.array([0.5, -1.0, 2.0])
+        fit = fit_weighted_m(self.data, NON_SQUARE["power:1.5"], self.w, init=init, max_iter=0)
+        assert fit.beta.tobytes() == init.tobytes() and fit.iterations == 0
+        gnorm = np.max(np.abs(estimating_equation(self.data, NON_SQUARE["power:1.5"], self.w, init)))
+        assert fit.gradient_norm == gnorm
 
 
 class TestSandwichCovariance:

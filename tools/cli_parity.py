@@ -18,10 +18,11 @@ other numbers.  A record whose exit code, text or structure changed is
 listed as different.  The exit status is 0 when no record differs and no
 number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set: three CSVs (q = 1, 2, 3) x three losses x seven weight
+The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
 200-point grid among them); bandwidth extremes; input errors; malformed and
-unusual CSV files; three ``simulate --workers 2`` studies.
+unusual CSV files; four ``simulate --workers 2`` studies.  The ``power:1.2``
+fits and study reach M-solver runs that stall at a fixed point or a cycle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-LOSSES = ("square", "huber:1.345", "power:1.5")
+LOSSES = ("square", "huber:1.345", "power:1.5", "power:1.2")
 CSV_SIZES = {"q1": (1, 150), "q2": (2, 250), "q3": (3, 300)}
 RTOL = 1e-12  # largest relative move of a number that passes
 
@@ -145,6 +146,8 @@ def command_set() -> list[tuple[str, list[str]]]:
                           "--loss", "huber:1.345"],
         "constant-h-q1": ["--n", "150", "--q", "1", "--sigma", "constant", "--reps", "4",
                           "--methods", "np,sp", "--bandwidth", "0.4"],
+        "smooth-power1.2-q2": ["--n", "200", "--q", "2", "--sigma", "smooth", "--reps", "6",
+                               "--methods", "first-step,parametric", "--loss", "power:1.2"],
     }
     for name, argv in studies.items():
         cmds.append((f"simulate/{name}", ["simulate", *argv, "--seed", "7",
