@@ -9,7 +9,12 @@ Three operations live here:
 * :func:`fit_wls` - closed-form weighted least squares,
 * :func:`fit_weighted_m` - damped-Newton / IRLS solver for a general convex
   loss, driven by the estimating equation
-  ``n^-1 sum_i w_i rho'(|e_i|) sign(e_i) x~_i = 0``,
+  ``n^-1 sum_i w_i rho'(|e_i|) sign(e_i) x~_i = 0``.  It evaluates the
+  estimating equation at most once per point, and an accepted full Newton
+  step hands its residuals, ``|e|`` and estimating equation on to the next
+  iteration.  The loss kernels take ``|e|`` unchecked, since it is
+  nonnegative by construction; the score is written once, in the helper
+  that :func:`estimating_equation` also uses,
 * :func:`sandwich_covariance` - plug-in covariance
   ``C^-1 M C^-1 / n`` with ``C = n^-1 sum w_i g2(e_i) x~_i x~_i'`` and
   ``M = n^-1 sum w_i^2 g1(e_i) x~_i x~_i'``.
@@ -17,6 +22,8 @@ Three operations live here:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +115,22 @@ def _check_weights(data: Dataset, weights) -> np.ndarray:
     return w
 
 
+def _rcond(mat: np.ndarray) -> float:
+    """Reciprocal 2-norm condition number of ``mat``, 0 when it is singular.
+
+    The arithmetic of ``1 / np.linalg.cond(mat)`` without its wrapper: the
+    same singular values and the same two divisions.  Like it, raises
+    ``LinAlgError`` when ``mat`` holds a NaN.
+    """
+    s = np.linalg.svd(mat, compute_uv=False)
+    s_max, s_min = float(s[0]), float(s[-1])
+    cond = s_max / s_min if s_min > 0 else math.inf
+    return 1.0 / cond if math.isfinite(cond) else 0.0
+
+
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve a small symmetric system, failing loudly on near-singularity."""
-    cond = np.linalg.cond(mat)
-    rcond = 0.0 if not np.isfinite(cond) else 1.0 / cond
+    rcond = _rcond(mat)
     if rcond < RCOND_MIN:
         raise DegenerateDesignError(
             f"{what} is numerically singular (reciprocal condition estimate "
@@ -158,24 +177,38 @@ def estimating_equation(data: Dataset, loss: LossFunction, weights, beta) -> np.
     w = np.asarray(weights, dtype=float)
     beta = np.asarray(beta, dtype=float)
     xt = data.design_matrix()
+    e, abs_e = _residuals(data, xt, beta)
+    return _z_map(data, loss, w, xt, e, abs_e)
+
+
+def _residuals(data: Dataset, xt, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals ``e`` at ``beta`` and their moduli ``|e|``."""
     e = data.y - xt @ beta
-    score = loss.rho_prime(np.abs(e)) * np.sign(e)
+    return e, np.abs(e)
+
+
+def _z_map(data: Dataset, loss: LossFunction, w, xt, e, abs_e) -> np.ndarray:
+    """The Z-map from residuals ``e`` and ``abs_e = |e|``.
+
+    The loss kernel takes ``abs_e`` unchecked: it is nonnegative by
+    construction.
+    """
+    score = loss._rho_prime(abs_e) * np.sign(e)
     return xt.T @ (w * score) / data.n
 
 
-def _objective(data: Dataset, loss: LossFunction, w, xt, beta) -> float:
-    e = data.y - xt @ beta
-    return float(np.mean(w * loss.rho(np.abs(e))))
+def _objective(loss: LossFunction, w, abs_e) -> float:
+    """The weighted objective ``n^-1 sum_i w_i rho(|e_i|)`` from ``|e|``."""
+    return float(np.mean(w * loss._rho(abs_e)))
 
 
-def _irls_target(data: Dataset, loss: LossFunction, w, xt, e) -> np.ndarray:
+def _irls_target(data: Dataset, loss: LossFunction, w, xt, abs_e) -> np.ndarray:
     """One IRLS step: weighted LS with working weights w * rho'(|e|)/|e|."""
-    abs_e = np.abs(e)
     ratio = np.empty_like(abs_e)
     nz = abs_e > 0
-    ratio[nz] = loss.rho_prime(abs_e[nz]) / abs_e[nz]
+    ratio[nz] = loss._rho_prime(abs_e[nz]) / abs_e[nz]
     if np.any(~nz):
-        limit = loss.rho_second(0.0)
+        limit = float(loss._rho_second(np.asarray(0.0)))
         if not np.isfinite(limit):
             # rho''(0) diverges for power losses with p < 2; reuse the
             # largest finite working ratio so the step stays well posed
@@ -205,6 +238,13 @@ def fit_weighted_m(
     at most ``tol``; a fit that exhausts ``max_iter`` is returned with
     ``converged=False`` and its final gradient norm, never silently.
 
+    Each point the solver visits is evaluated once: its estimating equation
+    at most once, and its residuals ``e`` and ``|e|`` once per iteration
+    that uses them.  An accepted full Newton step hands its residuals,
+    ``|e|`` and estimating equation to the next iteration; a damped or IRLS
+    point hands on none, so fewer n-vectors stay alive.  The loss kernels
+    take ``|e|`` unchecked, since it is nonnegative by construction.
+
     With the data, loss and weights fixed, one iteration is a pure function
     of the iterate's bits.  An iterate met a second time therefore starts a
     cycle the solver would repeat until ``max_iter``: first seen at
@@ -223,18 +263,20 @@ def fit_weighted_m(
     weights : array_like
         n nonnegative reals.
     tol : float
-        Bound on the estimating-equation max-norm, nonnegative.
+        Bound on the estimating-equation max-norm, a nonnegative real.
     max_iter : int
-        Newton iteration cap, nonnegative.
+        Newton iteration cap, a nonnegative integer (not a bool).
     init : array_like, optional
         Finite starting coefficients; defaults to the unweighted square-loss
         fit.
     """
     w = _check_weights(data, weights)
-    if not tol >= 0:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
         raise DataError(f"tol must be a nonnegative number, got {tol!r}")
-    if max_iter < 0:
-        raise DataError(f"max_iter must be nonnegative, got {max_iter!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
+            or max_iter < 0:
+        raise DataError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    max_iter = int(max_iter)
     xt = data.design_matrix()
     if init is None:
         beta = fit_wls(data, np.ones(data.n)).beta.copy()
@@ -249,7 +291,8 @@ def fit_weighted_m(
     # Bytes, not values: +0 and -0 differ in bits, and NaN equals itself.
     seen: dict[bytes, int] = {}
     history: list[tuple[np.ndarray, np.ndarray]] = []
-    grad = None  # estimating equation at beta, when already evaluated
+    # residuals, |e| and estimating equation at beta, when already evaluated
+    e = abs_e = grad = None
     iterations = 0
     for k in range(max_iter):
         j = seen.setdefault(beta.tobytes(), k)
@@ -257,64 +300,72 @@ def fit_weighted_m(
             beta, grad = history[j + (max_iter - j) % (k - j)]
             iterations = max_iter
             break
-        e = data.y - xt @ beta
+        if e is None:
+            e, abs_e = _residuals(data, xt, beta)
         if grad is None:
-            score = loss.rho_prime(np.abs(e)) * np.sign(e)
-            grad = xt.T @ (w * score) / data.n
+            grad = _z_map(data, loss, w, xt, e, abs_e)
         history.append((beta, grad))
-        if np.max(np.abs(grad)) <= tol:
+        gnorm = np.abs(grad).max()
+        if gnorm <= tol:
             break
-        curv = w * loss.rho_second(np.abs(e))
+        curv = w * loss._rho_second(abs_e)
         hess = (xt * curv[:, None]).T @ xt / data.n
-        cond = np.linalg.cond(hess)
-        newton_ok = np.isfinite(cond) and 1.0 / cond >= RCOND_MIN
+        newton_ok = _rcond(hess) >= RCOND_MIN
         if newton_ok:
             step = np.linalg.solve(hess, grad)
         else:
-            step = _irls_target(data, loss, w, xt, e) - beta
-        candidate = None
-        next_grad = None
+            step = _irls_target(data, loss, w, xt, abs_e) - beta
+        # the full step is also the first halving trial (beta + 1.0 * step
+        # has the bits of beta + step), so it is evaluated once for both
         t = 1.0
+        trial = beta + step
+        e_trial, abs_trial = _residuals(data, xt, trial)
+        trial_grad = None
+        candidate = None  # (point, e, |e|, grad), None where not kept
         if newton_ok:
             # near the solution the objective sits on its roundoff plateau
             # and cannot discriminate; a full Newton step that shrinks the
             # Z-residual is accepted outright (convex objective)
-            full = beta + step
-            full_grad = estimating_equation(data, loss, w, full)
-            if np.max(np.abs(full_grad)) < np.max(np.abs(grad)):
-                candidate, next_grad = full, full_grad
+            trial_grad = _z_map(data, loss, w, xt, e_trial, abs_trial)
+            if np.abs(trial_grad).max() < gnorm:
+                candidate = (trial, e_trial, abs_trial, trial_grad)
         if candidate is None:
-            # step halving on the weighted objective; ``current`` is
-            # _objective at beta, from this iteration's own residuals
-            current = float(np.mean(w * loss.rho(np.abs(e))))
-            for _ in range(40):
-                trial = beta + t * step
-                value = _objective(data, loss, w, xt, trial)
+            # step halving on the weighted objective.  A damped trial keeps
+            # no residuals: the next iteration recomputes them, so no more
+            # n-vectors than one point's stay alive through the IRLS step
+            current = _objective(loss, w, abs_e)
+            for halving in range(40):
+                if halving:
+                    t *= 0.5
+                    trial = beta + t * step
+                    e_trial = abs_trial = trial_grad = None
+                    value = _objective(loss, w, _residuals(data, xt, trial)[1])
+                else:
+                    value = _objective(loss, w, abs_trial)
                 if value <= current:
-                    candidate = trial
+                    candidate = (trial, e_trial, abs_trial, trial_grad)
                     break
-                t *= 0.5
         if newton_ok and t < 1.0:
             # a damped Newton step means the local quadratic model is poor
             # (curvature spikes near zero residuals for power losses); the
             # IRLS point is often better there.  t < 1 means the candidate,
             # if any, is the accepted halving trial, of objective ``value``
             try:
-                irls_point = _irls_target(data, loss, w, xt, e)
+                irls_point = _irls_target(data, loss, w, xt, abs_e)
             except DegenerateDesignError:
                 irls_point = None
             if irls_point is not None:
                 floor = value if candidate is not None else current
-                if _objective(data, loss, w, xt, irls_point) <= floor:
-                    candidate = irls_point
+                if _objective(loss, w, _residuals(data, xt, irls_point)[1]) <= floor:
+                    candidate = (irls_point, None, None, None)
         iterations += 1
         if candidate is None:
             break
-        beta, grad = candidate, next_grad
+        beta, e, abs_e, grad = candidate
 
     if grad is None:
         grad = estimating_equation(data, loss, w, beta)
-    gnorm = float(np.max(np.abs(grad)))
+    gnorm = float(np.abs(grad).max())
     return FitResult(
         beta=beta,
         weights=w,
@@ -343,8 +394,7 @@ def sandwich_covariance(data: Dataset, loss: LossFunction, weights, beta) -> np.
     e = data.y - xt @ beta
     c_mat = (xt * (w * loss.g2(e))[:, None]).T @ xt / data.n
     m_mat = (xt * (w**2 * loss.g1(e))[:, None]).T @ xt / data.n
-    cond = np.linalg.cond(c_mat)
-    rcond = 0.0 if not np.isfinite(cond) else 1.0 / cond
+    rcond = _rcond(c_mat)
     if rcond < RCOND_MIN:
         raise DegenerateCurvatureError(
             f"curvature matrix is numerically singular (reciprocal condition "

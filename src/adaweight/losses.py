@@ -103,7 +103,9 @@ class LossFunction:
         """Curvature rho''(|e|) of a signed residual."""
         return _eval(lambda a: self._rho_second(np.abs(a)), e)
 
-    # family formulas
+    # family formulas: unchecked kernels on a nonnegative array.  The
+    # M-solver calls them on |e| directly, skipping the sign check and the
+    # scalar handling of the public methods above.
 
     def _rho(self, t):
         if self.family == "square":

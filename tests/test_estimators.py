@@ -222,6 +222,9 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
     else:
         beta = np.asarray(init, dtype=float).copy()
 
+    def objective(point):
+        return est._objective(loss, w, np.abs(data.y - xt @ point))
+
     iterations = 0
     for _ in range(max_iter):
         if iterates is not None:
@@ -238,7 +241,7 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
         if newton_ok:
             step = np.linalg.solve(hess, grad)
         else:
-            step = est._irls_target(data, loss, w, xt, e) - beta
+            step = est._irls_target(data, loss, w, xt, np.abs(e)) - beta
         candidate = None
         t = 1.0
         if newton_ok:
@@ -247,21 +250,21 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
             if np.max(np.abs(full_grad)) < np.max(np.abs(grad)):
                 candidate = full
         if candidate is None:
-            current = est._objective(data, loss, w, xt, beta)
+            current = objective(beta)
             for _ in range(40):
                 trial = beta + t * step
-                if est._objective(data, loss, w, xt, trial) <= current:
+                if objective(trial) <= current:
                     candidate = trial
                     break
                 t *= 0.5
         if newton_ok and t < 1.0:
             try:
-                irls_point = est._irls_target(data, loss, w, xt, e)
+                irls_point = est._irls_target(data, loss, w, xt, np.abs(e))
             except DegenerateDesignError:
                 irls_point = None
             if irls_point is not None:
-                floor = est._objective(data, loss, w, xt, candidate) if candidate is not None else current
-                if est._objective(data, loss, w, xt, irls_point) <= floor:
+                floor = objective(candidate) if candidate is not None else current
+                if objective(irls_point) <= floor:
                     candidate = irls_point
         iterations += 1
         if candidate is None:
@@ -363,6 +366,69 @@ class TestRepeatStop:
         assert 0 < solver_calls < len(calls) / 3
 
 
+# integer data and starts, so residuals are exact: the power starts leave row 0
+# with a residual of exactly 0 (infinite curvature), and the Huber start puts
+# every residual beyond the cutoff (zero curvature)
+EXACT_Y = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+EXACT_X = np.arange(1.0, 9.0).reshape(-1, 1)
+SINGULAR_STARTS = {
+    "power:1.2": (LossFunction.power(1.2), [2.0, 1.0]),
+    "power:1.5": (LossFunction.power(1.5), [2.0, 1.0]),
+    "huber:0.5": (LossFunction.huber(0.5), [100.0, 0.0]),
+}
+
+
+class TestSingularCurvature:
+    @pytest.mark.parametrize("case", sorted(SINGULAR_STARTS))
+    def test_start_has_singular_curvature(self, case):
+        loss, init = SINGULAR_STARTS[case]
+        data = Dataset(y=EXACT_Y, x=EXACT_X)
+        curv = loss.rho_second(np.abs(data.y - data.design_matrix() @ np.array(init)))
+        if loss.family == "power":
+            assert np.isinf(curv[0]) and np.all(np.isfinite(curv[1:]))
+        else:
+            assert np.all(curv == 0.0)
+
+    @pytest.mark.parametrize("case", sorted(SINGULAR_STARTS))
+    def test_falls_back_to_irls_like_reference(self, case, monkeypatch):
+        loss, init = SINGULAR_STARTS[case]
+        data, w = Dataset(y=EXACT_Y, x=EXACT_X), np.ones(8)
+        irls = est._irls_target
+        calls = []
+        monkeypatch.setattr(est, "_irls_target", lambda *a: calls.append(1) or irls(*a))
+        fit = fit_weighted_m(data, loss, w, init=init, max_iter=1)
+        assert len(calls) == 1 and fit.iterations == 1
+        for max_iter in MAX_ITERS:
+            assert outcome(fit_weighted_m, data, loss, w, init=init, max_iter=max_iter) == \
+                outcome(reference_fit_weighted_m, data, loss, w, init=init,
+                        max_iter=max_iter), max_iter
+
+
+class TestSinglePointEvaluation:
+    # converging fits that take step halving on the way
+    @pytest.mark.parametrize("loss, r, init", (("huber:1.345", 0, [5.0, -5.0, 5.0]),
+                                               ("power:1.5", 1, None)))
+    def test_score_evaluated_once_per_point(self, loss, r, init, monkeypatch):
+        data, w = oracle_case(r)
+        points = []
+        z_map = est._z_map
+
+        def counted(data, loss, w, xt, e, abs_e):
+            points.append(e.tobytes())
+            return z_map(data, loss, w, xt, e, abs_e)
+
+        def validating(*args):
+            raise AssertionError("the solver called a validating loss method")
+
+        monkeypatch.setattr(est, "_z_map", counted)
+        for name in ("rho", "rho_prime", "rho_second"):
+            monkeypatch.setattr(LossFunction, name, validating)
+        fit = fit_weighted_m(data, NON_SQUARE[loss], w, init=init)
+        assert fit.converged and fit.iterations >= 3
+        assert len(points) >= fit.iterations
+        assert len(set(points)) == len(points)
+
+
 class TestFitWeightedMInputs:
     def setup_method(self):
         self.data, self.w = random_instance(np.random.default_rng(28), n=30, q=2)
@@ -381,6 +447,24 @@ class TestFitWeightedMInputs:
     def test_negative_max_iter_rejected(self):
         with pytest.raises(DataError, match="max_iter"):
             fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, max_iter=-1)
+
+    @pytest.mark.parametrize("tol", (None, "1e-10", True))
+    def test_non_number_tol_rejected(self, tol):
+        with pytest.raises(DataError, match="tol"):
+            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", (2.5, np.float64(3), True, False, None, "3"))
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(DataError, match="max_iter"):
+            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", (np.int64(3), np.uint8(3), np.int32(0)))
+    def test_numpy_integer_max_iter_accepted(self, max_iter):
+        loss = NON_SQUARE["power:1.5"]
+        fit = fit_weighted_m(self.data, loss, self.w, max_iter=max_iter)
+        assert type(fit.iterations) is int
+        assert outcome(fit_weighted_m, self.data, loss, self.w, max_iter=max_iter) == \
+            outcome(fit_weighted_m, self.data, loss, self.w, max_iter=int(max_iter))
 
     def test_zero_max_iter_returns_init(self):
         init = np.array([0.5, -1.0, 2.0])

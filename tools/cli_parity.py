@@ -21,8 +21,9 @@ number moved by more than ``RTOL`` (rel 1e-12), else 1.
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
 200-point grid among them); bandwidth extremes; input errors; malformed and
-unusual CSV files; four ``simulate --workers 2`` studies.  The ``power:1.2``
-fits and study reach M-solver runs that stall at a fixed point or a cycle.
+unusual CSV files; five ``simulate --workers 2`` studies.  The ``power:1.2``
+fits and study reach M-solver runs that stall at a fixed point or a cycle;
+the ``power:1.5`` study reaches runs still moving at the iteration cap.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def command_set() -> list[tuple[str, list[str]]]:
                           "--methods", "np,sp", "--bandwidth", "0.4"],
         "smooth-power1.2-q2": ["--n", "200", "--q", "2", "--sigma", "smooth", "--reps", "6",
                                "--methods", "first-step,parametric", "--loss", "power:1.2"],
+        "smooth-power1.5-q3": ["--n", "200", "--q", "3", "--sigma", "smooth", "--reps", "3",
+                               "--methods", "first-step,parametric,oracle",
+                               "--loss", "power:1.5"],
     }
     for name, argv in studies.items():
         cmds.append((f"simulate/{name}", ["simulate", *argv, "--seed", "7",
