@@ -21,7 +21,7 @@ import numpy as np
 from .bandwidth import cv_bandwidth
 from .dataio import read_csv, study_summary_dict, to_json_text, write_errors_csv
 from .errors import DataError, NumericalError
-from .estimators import fit_weighted_m, fit_wls, sandwich_covariance
+from .estimators import sandwich_covariance
 from .losses import LossFunction
 from .simulation import METHODS, SimConfig, inverse_variance_map, run_study
 from .weights import (
@@ -33,6 +33,7 @@ from .weights import (
     sp_index_weights,
     sp_projected_weights,
     squared_bandwidth,
+    weighted_fit,
 )
 
 WEIGHT_ROUTES = ("constant", "parametric", "np", "sp-index", "sp-proj", "oracle")
@@ -100,15 +101,12 @@ def _parse_float(text: str, name: str) -> float:
 
 def parse_loss(spec: str) -> LossFunction:
     parts = spec.split(":")
-    try:
-        if parts[0] == "square" and len(parts) == 1:
-            return LossFunction.square()
-        if parts[0] == "huber" and len(parts) == 2:
-            return LossFunction.huber(_parse_float(parts[1], "huber cutoff"))
-        if parts[0] == "power" and len(parts) == 2:
-            return LossFunction.power(_parse_float(parts[1], "power exponent"))
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    if parts[0] == "square" and len(parts) == 1:
+        return LossFunction.square()
+    if parts[0] == "huber" and len(parts) == 2:
+        return LossFunction.huber(_parse_float(parts[1], "huber cutoff"))
+    if parts[0] == "power" and len(parts) == 2:
+        return LossFunction.power(_parse_float(parts[1], "power exponent"))
     raise DataError(f"cannot parse loss spec {spec!r}")
 
 
@@ -196,10 +194,7 @@ def _run_fit(args) -> dict:
         family = inverse_variance_map(args.sigma_model)
         w, clamp_count = clamp_weights(evaluate_weight_map(family, data.x, beta))
 
-    if loss.family == "square":
-        fit = fit_wls(data, w)
-    else:
-        fit = fit_weighted_m(data, loss, w)
+    fit = weighted_fit(data, loss, w)
     cov = sandwich_covariance(data, loss, w, fit.beta)
 
     return {

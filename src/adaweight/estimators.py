@@ -119,10 +119,14 @@ def _rcond(mat: np.ndarray) -> float:
     """Reciprocal 2-norm condition number of ``mat``, 0 when it is singular.
 
     The arithmetic of ``1 / np.linalg.cond(mat)`` without its wrapper: the
-    same singular values and the same two divisions.  Like it, raises
-    ``LinAlgError`` when ``mat`` holds a NaN.
+    same singular values and the same two divisions.  A matrix whose SVD
+    fails (one holding a NaN, e.g. inf * 0 in a power-loss curvature at a
+    zero residual and a zero covariate) counts as singular and gives 0.
     """
-    s = np.linalg.svd(mat, compute_uv=False)
+    try:
+        s = np.linalg.svd(mat, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return 0.0
     s_max, s_min = float(s[0]), float(s[-1])
     cond = s_max / s_min if s_min > 0 else math.inf
     return 1.0 / cond if math.isfinite(cond) else 0.0

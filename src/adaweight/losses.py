@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 FAMILIES = ("square", "huber", "power")
 
 
@@ -33,6 +35,13 @@ def _eval(fn, t):
     if arr.ndim == 0:
         return float(out)
     return out
+
+
+def _eval_nonnegative(fn, t, name: str):
+    """:func:`_eval` on ``t >= 0``; a negative entry raises ValueError."""
+    if np.any(np.asarray(t, dtype=float) < 0):
+        raise ValueError(f"{name} is defined on nonnegative arguments only")
+    return _eval(fn, t)
 
 
 @dataclass(frozen=True)
@@ -49,13 +58,13 @@ class LossFunction:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown loss family {self.family!r}")
+            raise DataError(f"unknown loss family {self.family!r}")
         if self.family == "huber":
             if self.cutoff is None or not self.cutoff > 0:
-                raise ValueError("huber cutoff must be a positive real")
+                raise DataError("huber cutoff must be a positive real")
         if self.family == "power":
             if self.exponent is None or not self.exponent > 1:
-                raise ValueError("power exponent must be > 1")
+                raise DataError("power exponent must be > 1")
 
     @classmethod
     def square(cls) -> "LossFunction":
@@ -71,17 +80,11 @@ class LossFunction:
 
     def rho(self, t):
         """Evaluate rho(t) for t >= 0."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError("rho is defined on nonnegative arguments only")
-        return _eval(self._rho, t)
+        return _eval_nonnegative(self._rho, t, "rho")
 
     def rho_prime(self, t):
         """First derivative rho'(t) for t >= 0."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError("rho' is defined on nonnegative arguments only")
-        return _eval(self._rho_prime, t)
+        return _eval_nonnegative(self._rho_prime, t, "rho'")
 
     def rho_second(self, t):
         """Second derivative rho''(t) for t >= 0.
@@ -90,10 +93,7 @@ class LossFunction:
         inside value 1 (left-continuous convention), so tests are
         deterministic on the measure-zero boundary.
         """
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError("rho'' is defined on nonnegative arguments only")
-        return _eval(self._rho_second, t)
+        return _eval_nonnegative(self._rho_second, t, "rho''")
 
     def g1(self, e):
         """Squared score rho'(|e|)^2 of a signed residual."""

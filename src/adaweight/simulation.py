@@ -28,7 +28,7 @@ from scipy.special import ndtri
 
 from .bandwidth import cv_bandwidth
 from .errors import DataError, NumericalError, StudyError
-from .estimators import Dataset, fit_weighted_m, fit_wls
+from .estimators import Dataset
 from .losses import LossFunction
 from .weights import (
     epsilon_perturbation,
@@ -38,6 +38,7 @@ from .weights import (
     parametric_weights,
     sp_projected_weights,
     squared_bandwidth,
+    weighted_fit,
 )
 
 SIGMA_KINDS = ("smooth", "disc", "constant")
@@ -150,12 +151,6 @@ class ReplicationOutcome:
         return self.status == "ok"
 
 
-def _final_fit(data: Dataset, config: SimConfig, w: np.ndarray) -> np.ndarray:
-    if config.loss.family == "square":
-        return fit_wls(data, w).beta
-    return fit_weighted_m(data, config.loss, w).beta
-
-
 def _bandwidth_for(data, fs, mode, config, eps=None) -> float:
     if config.bandwidth == "cv":
         return cv_bandwidth(data, fs, mode, eps=eps).h_cv
@@ -176,23 +171,20 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
     for method in config.methods:
         try:
             if method == "first-step":
-                beta = fs.beta
+                w = None
             elif method == "parametric":
                 w = parametric_weights(inverse_variance_map(config.sigma), fs, data)
-                beta = _final_fit(data, config, w)
             elif method == "np":
                 h = _bandwidth_for(data, fs, "np", config)
                 w = np_weights(data, config.loss, fs, h)
-                beta = _final_fit(data, config, w)
             elif method == "sp":
                 eps = epsilon_perturbation(data, fs)
                 h = _bandwidth_for(data, fs, "sp-proj", config, eps=eps)
                 w = sp_projected_weights(data, config.loss, fs, h, eps)
-                beta = _final_fit(data, config, w)
             else:  # oracle
                 family = inverse_variance_map(config.sigma)
                 w = oracle_weights(lambda x: family(x, beta0), data)
-                beta = _final_fit(data, config, w)
+            beta = fs.beta if w is None else weighted_fit(data, config.loss, w).beta
         except NumericalError as exc:
             outcomes[method] = ReplicationOutcome(
                 beta=None, sq_error=float("nan"), status=exc.category, message=str(exc)
@@ -268,11 +260,12 @@ def run_study(config: SimConfig, workers: int = 1) -> StudyResult:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(lambda r: run_replication(config, r), indices))
 
+    result = StudyResult(config=config, outcomes=outcomes)
     for method in config.methods:
-        failed = sum(1 for rep in outcomes if not rep[method].ok)
+        failed = result.failures(method)
         if failed > MAX_FAILURE_FRACTION * config.replications:
             raise StudyError(
                 f"method {method!r} failed in {failed} of "
                 f"{config.replications} replications"
             )
-    return StudyResult(config=config, outcomes=outcomes)
+    return result

@@ -16,6 +16,9 @@ residual.  Four routes produce per-observation weight sequences:
   data-driven default (:func:`epsilon_perturbation`).
 
 plus :func:`oracle_weights` for plugging in a known weight map.
+:func:`weighted_fit` is the one place that picks the solver for a weight
+sequence (closed-form WLS for the square loss, the M-solver otherwise); the
+first step and the final fits of ``fit`` and ``simulate`` all go through it.
 
 The kernel routes smooth with the Epanechnikov kernel whose dimension is
 that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
@@ -53,7 +56,7 @@ from .errors import (
     IndexDegenerateError,
     WeightFamilyError,
 )
-from .estimators import Dataset, fit_weighted_m, fit_wls, _solve_spd
+from .estimators import Dataset, FitResult, fit_weighted_m, fit_wls, _solve_spd
 from .kernels import EpanechnikovKernel
 from .losses import LossFunction
 
@@ -83,13 +86,16 @@ class FirstStepFit:
         return self.beta[1:]
 
 
+def weighted_fit(data: Dataset, loss: LossFunction, w) -> FitResult:
+    """Weighted fit by closed-form WLS for the square loss, else the M-solver."""
+    if loss.family == "square":
+        return fit_wls(data, w)
+    return fit_weighted_m(data, loss, w)
+
+
 def first_step(data: Dataset, loss: LossFunction) -> FirstStepFit:
     """Fit with unit weights; the plug-in point for every weight formula."""
-    ones = np.ones(data.n)
-    if loss.family == "square":
-        fit = fit_wls(data, ones)
-    else:
-        fit = fit_weighted_m(data, loss, ones)
+    fit = weighted_fit(data, loss, np.ones(data.n))
     residuals = data.y - fit.beta[0] - data.x @ fit.beta[1:]
     return FirstStepFit(beta=fit.beta, residuals=residuals)
 

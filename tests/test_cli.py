@@ -431,6 +431,19 @@ class TestCmdFit:
         assert code == 3
         assert json.loads(err)["error"] == "degenerate-design"
 
+    @pytest.mark.parametrize("loss, code", (("power:1.2", 3), ("power:1.5", 0)))
+    def test_zero_residual_at_zero_covariate(self, capsys, tmp_path, loss, code):
+        # the power fit reaches an exact zero residual in the row with x1 = 0
+        p = tmp_path / "zero.csv"
+        p.write_text("y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n")
+        with np.errstate(invalid="ignore"):
+            got, out, err = run_cli(capsys, "fit", "--data", str(p), "--loss", loss)
+        assert got == code
+        if code == 3:
+            assert json.loads(err)["error"] == "degenerate-curvature"
+        else:
+            assert np.all(np.isfinite(json.loads(out)["beta"]))
+
     def test_bad_loss_spec_is_input_error(self, capsys, derived_csv):
         code, _, err = run_cli(capsys, "fit", "--data", derived_csv, "--loss", "huber")
         assert code == 2

@@ -404,6 +404,26 @@ class TestSingularCurvature:
                         max_iter=max_iter), max_iter
 
 
+class TestZeroCovariateAtZeroResidual:
+    # x = 0 in the row whose residual is exactly 0: the power curvature inf
+    # meets the covariate 0 and puts a NaN in the curvature matrix, whose
+    # condition check then reads as singular
+    def test_fit_falls_back_and_sandwich_is_degenerate(self, monkeypatch):
+        data = Dataset(y=EXACT_Y, x=EXACT_X - 1.0)
+        loss, w, init = NON_SQUARE["power:1.2"], np.ones(8), np.array([3.0, 1.0])
+        xt = data.design_matrix()
+        irls = est._irls_target
+        calls = []
+        monkeypatch.setattr(est, "_irls_target", lambda *a: calls.append(1) or irls(*a))
+        with np.errstate(invalid="ignore"):
+            curv = loss.rho_second(np.abs(data.y - xt @ init))
+            assert np.isnan((xt * curv[:, None]).T @ xt).any()
+            fit = fit_weighted_m(data, loss, w, init=init)
+            with pytest.raises(DegenerateCurvatureError):
+                sandwich_covariance(data, loss, w, init)
+        assert calls and fit.converged and np.all(np.isfinite(fit.beta))
+
+
 class TestSinglePointEvaluation:
     # converging fits that take step halving on the way
     @pytest.mark.parametrize("loss, r, init", (("huber:1.345", 0, [5.0, -5.0, 5.0]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaweight import LossFunction
+from adaweight import DataError, LossFunction
 
 
 class TestRho:
@@ -103,6 +103,12 @@ class TestValidation:
             LossFunction.power(1.0)
         with pytest.raises(ValueError):
             LossFunction.power(0.5)
+
+    def test_bad_spec_is_a_data_error(self):
+        for make in (lambda: LossFunction("cauchy"), lambda: LossFunction.huber(0.0),
+                     lambda: LossFunction.power(1.0)):
+            with pytest.raises(DataError):
+                make()
 
     def test_power_exponent_two_equals_square(self):
         t = np.linspace(0, 4, 50)

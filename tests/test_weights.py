@@ -35,7 +35,9 @@ from adaweight.weights import (
     _ratio_weights,
     pairwise_sq_dists,
     smoothing_coordinates,
+    weighted_fit,
 )
+from adaweight.estimators import fit_weighted_m
 
 SQUARE = LossFunction.square()
 
@@ -74,6 +76,20 @@ class TestFirstStep:
         fs = first_step(d, LossFunction.huber(1.0))
         recomputed = d.y - fs.beta[0] - d.x @ fs.beta[1:]
         assert np.array_equal(fs.residuals, recomputed)
+
+
+class TestWeightedFit:
+    @pytest.mark.parametrize("loss", (SQUARE, LossFunction.huber(1.345),
+                                      LossFunction.power(1.5), LossFunction.power(1.2)), ids=str)
+    def test_bit_identical_to_its_solver(self, loss):
+        d, _ = heteroscedastic_sample(np.random.default_rng(43))
+        w = np.random.default_rng(44).uniform(0.2, 5.0, size=d.n)
+        expected = fit_wls(d, w) if loss == SQUARE else fit_weighted_m(d, loss, w)
+        got = weighted_fit(d, loss, w)
+        assert got.beta.tobytes() == expected.beta.tobytes()
+        assert got.weights.tobytes() == expected.weights.tobytes()
+        assert (got.iterations, got.converged, got.gradient_norm) == \
+            (expected.iterations, expected.converged, expected.gradient_norm)
 
 
 class TestPairwiseSqDists:

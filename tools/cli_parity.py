@@ -6,7 +6,8 @@ Each checkout is a directory with a ``src/adaweight`` package.  The tool
 writes the input CSVs once, copies them into one work directory per side,
 and runs every command as ``python -m adaweight ...`` in a subprocess with
 that side's ``src`` on ``PYTHONPATH`` and its work directory as the current
-directory, so paths in messages read the same on both sides.  A record is
+directory, so paths in messages read the same on both sides; a warning's
+source path is written relative to the checkout.  A record is
 one command's exit code, stdout and stderr, plus ``errors.csv`` and
 ``summary.json`` for ``simulate``.
 
@@ -23,7 +24,9 @@ routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
 200-point grid among them); bandwidth extremes; input errors; malformed and
 unusual CSV files; five ``simulate --workers 2`` studies.  The ``power:1.2``
 fits and study reach M-solver runs that stall at a fixed point or a cycle;
-the ``power:1.5`` study reaches runs still moving at the iteration cap.
+the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
+``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
+with a zero covariate, where the curvature matrix holds inf * 0 = NaN.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ import numpy as np
 
 LOSSES = ("square", "huber:1.345", "power:1.5", "power:1.2")
 CSV_SIZES = {"q1": (1, 150), "q2": (2, 250), "q3": (3, 300)}
+#: Seven rows on which a power fit with 1 < p < 2 reaches an exact zero
+#: residual in the row with x1 = 0.
+ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
 RTOL = 1e-12  # largest relative move of a number that passes
 
 
@@ -137,6 +143,10 @@ def command_set() -> list[tuple[str, list[str]]]:
         "err-route": q2 + ["--weights", "magic"],
         "err-grid-inverted": q2 + ["--weights", "np", "--cv-grid", "3:1:5"],
         "err-missing-file": ["fit", "--data", "data/absent.csv"],
+        "zero-residual-power1.2": ["fit", "--data", "data/zero_residual.csv",
+                                   "--loss", "power:1.2"],
+        "zero-residual-power1.5": ["fit", "--data", "data/zero_residual.csv",
+                                   "--loss", "power:1.5"],
     }
     cmds += [(f"fit/{name}", argv) for name, argv in more.items()]
     for name in ingest_cases():
@@ -165,6 +175,8 @@ def write_inputs(root: str) -> None:
     for name, (q, n) in CSV_SIZES.items():
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(fit_csv_text(q, n, seed=q))
+    with open(os.path.join(data, "zero_residual.csv"), "w", newline="") as handle:
+        handle.write(ZERO_RESIDUAL_CSV)
     for name, content in ingest_cases().items():
         path = os.path.join(data, name)
         if content is None:
@@ -175,13 +187,15 @@ def write_inputs(root: str) -> None:
 
 
 def run_side(tree: str, work: str, cmds) -> dict[str, dict[str, bytes]]:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    root = os.path.abspath(tree)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     records = {}
     for name, argv in cmds:
         proc = subprocess.run([sys.executable, "-m", "adaweight", *argv], cwd=work,
                               env=env, capture_output=True, timeout=600)
+        stderr = proc.stderr.replace(os.path.join(root, "").encode(), b"")
         record = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout,
-                  "stderr": proc.stderr}
+                  "stderr": stderr}
         if argv[0] == "simulate":
             out = os.path.join(work, argv[argv.index("--out") + 1])
             for file in ("errors.csv", "summary.json"):
