@@ -7,7 +7,10 @@ Two subcommands:
   summary.json under the output directory
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure
-(with the error category as JSON on stderr).
+(with the error category as JSON on stderr).  ``fit`` checks every flag,
+whatever the route, before it reads the CSV, and ``simulate`` creates the
+output directory before the study runs, so invalid input exits 2 even where
+the computation would also fail.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .estimators import sandwich_covariance
 from .losses import LossFunction
 from .simulation import METHODS, SimConfig, inverse_variance_map, run_study
 from .weights import (
+    MODES,
     clamp_weights,
     epsilon_perturbation,
     evaluate_weight_map,
@@ -36,7 +40,7 @@ from .weights import (
     weighted_fit,
 )
 
-WEIGHT_ROUTES = ("constant", "parametric", "np", "sp-index", "sp-proj", "oracle")
+WEIGHT_ROUTES = ("constant", "parametric", *MODES, "oracle")
 
 
 class _UsageError(Exception):
@@ -134,32 +138,37 @@ def parse_cv_grid(text: str) -> np.ndarray:
 
 
 def _run_fit(args) -> dict:
-    data = read_csv(args.data)
+    # parse every flag, whatever the route, before any data is read
     loss = parse_loss(args.loss)
     route = args.weights
     if route not in WEIGHT_ROUTES:
         raise DataError(f"--weights must be one of {WEIGHT_ROUTES}, got {route!r}")
-
-    fs = first_step(data, loss)
     bandwidth = parse_bandwidth(args.bandwidth)
     grid = parse_cv_grid(args.cv_grid) if args.cv_grid else None
+    epsilon = None if args.epsilon == "auto" else _parse_float(args.epsilon, "epsilon")
+    if epsilon is not None and epsilon < 0:
+        raise DataError("epsilon must be nonnegative")
+    if args.sigma_model not in ("smooth", "disc"):
+        raise DataError(f"--sigma-model must be smooth or disc, got {args.sigma_model!r}")
+    family = inverse_variance_map(args.sigma_model)
+    if route == "oracle" and args.oracle_beta is None:
+        raise DataError("--weights oracle requires --oracle-beta")
+    oracle_beta = None if args.oracle_beta is None else np.array(
+        [_parse_float(v, "--oracle-beta entry") for v in args.oracle_beta.split(",")]
+    )
 
-    h_used = None
+    data = read_csv(args.data)
+    if oracle_beta is not None and oracle_beta.shape != (1 + data.q,):
+        raise DataError(f"--oracle-beta must have {1 + data.q} entries, got {oracle_beta.size}")
+    fs = first_step(data, loss)
+    h_used = cv_diag = eps_used = None
     h_selection = "none"
-    cv_diag = None
-    eps_used = None
     clamp_count = 0
-
     if route == "constant":
         w = np.ones(data.n)
-    elif route in ("np", "sp-index", "sp-proj"):
+    elif route in MODES:
         if route == "sp-proj":
-            if args.epsilon == "auto":
-                eps_used = epsilon_perturbation(data, fs)
-            else:
-                eps_used = _parse_float(args.epsilon, "epsilon")
-                if eps_used < 0:
-                    raise DataError("epsilon must be nonnegative")
+            eps_used = epsilon_perturbation(data, fs) if epsilon is None else epsilon
         if bandwidth == "cv":
             cv = cv_bandwidth(data, fs, route, grid=grid, eps=eps_used)
             h_used, h_selection = cv.h_cv, "cv"
@@ -169,7 +178,7 @@ def _run_fit(args) -> dict:
                 "valid_fraction": [float(v) for v in cv.valid_fraction],
             }
         else:
-            h_used, h_selection = float(bandwidth), "fixed"
+            h_used, h_selection = bandwidth, "fixed"
         if route == "np":
             w = np_weights(data, loss, fs, h_used)
         elif route == "sp-index":
@@ -177,21 +186,7 @@ def _run_fit(args) -> dict:
         else:
             w = sp_projected_weights(data, loss, fs, h_used, eps_used)
     else:  # parametric plugs in the first step, oracle the given coefficients
-        if route == "parametric":
-            beta = fs.beta
-        elif args.oracle_beta is None:
-            raise DataError("--weights oracle requires --oracle-beta")
-        else:
-            beta = np.array(
-                [_parse_float(v, "--oracle-beta entry") for v in args.oracle_beta.split(",")]
-            )
-            if beta.shape != (1 + data.q,):
-                raise DataError(
-                    f"--oracle-beta must have {1 + data.q} entries, got {beta.size}"
-                )
-        if args.sigma_model not in ("smooth", "disc"):
-            raise DataError(f"--sigma-model must be smooth or disc, got {args.sigma_model!r}")
-        family = inverse_variance_map(args.sigma_model)
+        beta = fs.beta if route == "parametric" else oracle_beta
         w, clamp_count = clamp_weights(evaluate_weight_map(family, data.x, beta))
 
     fit = weighted_fit(data, loss, w)
@@ -231,9 +226,11 @@ def _run_simulate(args) -> dict:
     workers = _parse_int(args.workers, "--workers")
     if workers < 1:
         raise DataError("--workers must be >= 1")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{args.out}: cannot create directory: {exc.strerror or exc}") from None
     result = run_study(config, workers=workers)
-
-    os.makedirs(args.out, exist_ok=True)
     write_errors_csv(os.path.join(args.out, "errors.csv"), result)
     summary = study_summary_dict(result)
     with open(os.path.join(args.out, "summary.json"), "w") as handle:

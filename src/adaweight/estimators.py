@@ -224,6 +224,7 @@ def _irls_target(data: Dataset, loss: LossFunction, w, xt, abs_e) -> np.ndarray:
     return _solve_spd(sigma, gamma, "IRLS working moment matrix")
 
 
+@np.errstate(invalid="ignore")
 def fit_weighted_m(
     data: Dataset,
     loss: LossFunction,
@@ -238,9 +239,12 @@ def fit_weighted_m(
     The solver is damped Newton on the estimating equation with step-halving
     on the weighted objective, falling back to an IRLS step whenever the
     curvature matrix is singular (e.g. every residual beyond a Huber
-    cutoff).  Convergence means the max-norm of the estimating equation is
-    at most ``tol``; a fit that exhausts ``max_iter`` is returned with
-    ``converged=False`` and its final gradient norm, never silently.
+    cutoff, or a NaN from a power curvature of inf at an exact zero residual
+    times a zero covariate; numpy's invalid-value warning for that NaN is
+    silenced once per call).  Convergence means the max-norm of the
+    estimating equation is at most ``tol``; a fit that exhausts ``max_iter``
+    is returned with ``converged=False`` and its final gradient norm, never
+    silently.
 
     Each point the solver visits is evaluated once: its estimating equation
     at most once, and its residuals ``e`` and ``|e|`` once per iteration
@@ -379,6 +383,7 @@ def fit_weighted_m(
     )
 
 
+@np.errstate(invalid="ignore")
 def sandwich_covariance(data: Dataset, loss: LossFunction, weights, beta) -> np.ndarray:
     """Plug-in covariance of the fitted coefficients.
 
@@ -390,7 +395,9 @@ def sandwich_covariance(data: Dataset, loss: LossFunction, weights, beta) -> np.
     ------
     DegenerateCurvatureError
         If the curvature matrix C is singular, e.g. a Huber fit with every
-        residual beyond the cutoff.
+        residual beyond the cutoff, or a NaN in C from a power curvature of
+        inf times a zero covariate (numpy's invalid-value warning for it is
+        silenced).
     """
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)

@@ -126,6 +126,9 @@ class SimConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise DataError(f"unknown methods {unknown}; choose from {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise DataError(f"methods {repeated} are repeated; name each method once")
         if not self.methods:
             raise DataError("at least one method is required")
         if isinstance(self.bandwidth, str):

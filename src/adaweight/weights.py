@@ -35,6 +35,8 @@ are not applied and no bandwidth can underflow them.  The coordinates are
 centred before the distances are taken, so an offset of the covariates does
 not cost precision.  Numerators and denominators are floored at 1e-8 of
 their maximum so the returned sequences are strictly positive and finite.
+A numerator that is not finite (a power loss with p < 2 has g2 = inf at an
+exact zero residual) raises DegenerateCurvatureError.
 
 A point with no other observation within h smooths only its own residual,
 so its weight is the pointwise ratio g2(e_i)/g1(e_i) (1/(2 e_i^2) for square
@@ -219,6 +221,11 @@ def squared_bandwidth(h: float) -> float:
 
 def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
     top = float(np.max(values))
+    if what == "numerator" and not np.isfinite(top):  # g2 = inf, or inf * 0 = NaN
+        raise DegenerateCurvatureError(
+            "a smoothing numerator is not finite; the loss has infinite "
+            "curvature at an exact zero first-step residual"
+        )
     if not top > 0:
         if what == "denominator":
             raise BandwidthTooSmallError(
@@ -232,6 +239,7 @@ def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
     return np.maximum(values, SMOOTHING_FLOOR * top)
 
 
+@np.errstate(invalid="ignore")  # inf * 0 = NaN in a numerator raises below
 def _ratio_weights(
     loss: LossFunction, fs: FirstStepFit, h: float, points: np.ndarray
 ) -> np.ndarray:

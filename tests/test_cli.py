@@ -30,9 +30,15 @@ from adaweight import (
     sp_index_weights,
     sp_projected_weights,
 )
-from adaweight import dataio
+from adaweight import cli, dataio
 from adaweight.cli import main
 from adaweight.dataio import _read_cells, read_csv, to_json_text, write_csv
+
+
+#: Five rows whose only covariate is constant: every first step fails.
+CONSTANT_CSV = "y,x1\n1,2\n2,2\n3,2\n4,2\n5,2\n"
+#: Seven rows on which a power fit reaches an exact zero residual at x1 = 0.
+ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
 
 
 @pytest.fixture
@@ -435,20 +441,91 @@ class TestCmdFit:
     def test_zero_residual_at_zero_covariate(self, capsys, tmp_path, loss, code):
         # the power fit reaches an exact zero residual in the row with x1 = 0
         p = tmp_path / "zero.csv"
-        p.write_text("y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n")
-        with np.errstate(invalid="ignore"):
+        p.write_text(ZERO_RESIDUAL_CSV)
+        # inf * 0 = NaN in the curvature matrix is handled, not reported
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got, out, err = run_cli(capsys, "fit", "--data", str(p), "--loss", loss)
         assert got == code
         if code == 3:
-            assert json.loads(err)["error"] == "degenerate-curvature"
+            assert out == "" and json.loads(err)["error"] == "degenerate-curvature"
         else:
-            assert np.all(np.isfinite(json.loads(out)["beta"]))
+            assert err == "" and np.all(np.isfinite(json.loads(out)["beta"]))
 
     def test_bad_loss_spec_is_input_error(self, capsys, derived_csv):
         code, _, err = run_cli(capsys, "fit", "--data", derived_csv, "--loss", "huber")
         assert code == 2
         code, _, err = run_cli(capsys, "fit", "--data", derived_csv, "--loss", "power:0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("h", ["0.5", "3", "100"])
+    def test_infinite_curvature_in_kernel_sum(self, capsys, tmp_path, h):
+        # g2 = inf at the zero first-step residual enters every numerator
+        # within h of x1 = 0, as inf or as inf * 0 = NaN
+        p = tmp_path / "zero.csv"
+        p.write_text(ZERO_RESIDUAL_CSV)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", "--data", str(p), "--loss", "power:1.2",
+                                     "--weights", "np", "--bandwidth", h)
+        assert (code, out) == (3, "")
+        report = json.loads(err)
+        assert report["error"] == "degenerate-curvature"
+        assert "infinite curvature at an exact zero first-step residual" in report["message"]
+
+
+class TestFitParsesFlagsFirst:
+    @pytest.mark.parametrize("flags, message", [
+        (["--weights", "np", "--bandwidth", "abc"], "bandwidth must be a number, got 'abc'"),
+        (["--weights", "oracle"], "--weights oracle requires --oracle-beta"),
+        (["--weights", "sp-proj", "--epsilon", "-1"], "epsilon must be nonnegative"),
+        (["--weights", "parametric", "--sigma-model", "bogus"],
+         "--sigma-model must be smooth or disc, got 'bogus'"),
+        (["--weights", "np", "--cv-grid", "3:1:5"], "invalid --cv-grid '3:1:5'"),
+    ])
+    def test_flag_error_precedes_failing_first_step(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "constant.csv"
+        path.write_text(CONSTANT_CSV)
+        assert run_cli(capsys, "fit", "--data", str(path))[0] == 3
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+
+    @pytest.mark.parametrize("flags", [
+        ["--weights", "np", "--epsilon", "abc"],
+        ["--weights", "constant", "--sigma-model", "bogus"],
+        ["--weights", "np", "--oracle-beta", "1,x"],
+        ["--weights", "np", "--oracle-beta", "1,0.5,0.5"],
+    ])
+    def test_flag_the_route_ignores_is_still_checked(self, capsys, derived_csv, flags):
+        code, out, err = run_cli(capsys, "fit", "--data", derived_csv, *flags)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "input"
+
+    @pytest.mark.parametrize("flags", [
+        ["--loss", "huber"],
+        ["--weights", "magic"],
+        ["--weights", "np", "--bandwidth", "-1"],
+        ["--cv-grid", "1:2"],
+        ["--epsilon", "-1"],
+        ["--sigma-model", "bogus"],
+        ["--weights", "oracle"],
+        ["--oracle-beta", "1,x"],
+    ])
+    def test_malformed_flag_reads_no_data(self, capsys, monkeypatch, flags):
+        def read_csv(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_csv", read_csv)
+        code, out, err = run_cli(capsys, "fit", "--data", "data.csv", *flags)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "input"
+
+    def test_flag_error_precedes_missing_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "absent.csv"),
+                               "--epsilon", "-1")
+        assert code == 2
+        assert json.loads(err)["message"] == "epsilon must be nonnegative"
 
 
 class TestCmdSimulate:
@@ -484,6 +561,30 @@ class TestCmdSimulate:
             "--reps", "0", "--seed", "1", "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_out_naming_a_file_is_input_error_before_the_study(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "taken"
+        target.write_text("")
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("the study ran"))
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc",
+            "--methods", "first-step", "--reps", "1", "--seed", "4", "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        report = json.loads(err)
+        assert report["error"] == "input" and report["message"].startswith(f"{target}: ")
+
+    def test_repeated_method_is_input_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc",
+            "--methods", "np,np,first-step", "--reps", "1", "--seed", "4",
+            "--out", str(tmp_path / "out"),
+        )
+        assert (code, out) == (2, "")
+        assert "['np'] are repeated" in json.loads(err)["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_errors_csv_schema(self, capsys, tmp_path):
         code, _, _ = run_cli(

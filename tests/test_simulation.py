@@ -75,6 +75,11 @@ class TestSimConfig:
         with pytest.raises(DataError, match="1e\\+200 is too large"):
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=1e200)
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(DataError, match=r"\['np', 'sp'\] are repeated"):
+            SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1,
+                      methods=("sp", "np", "first-step", "np", "sp"))
+
 
 class TestRunReplication:
     def test_homoscedastic_oracle_equals_first_step(self):

@@ -22,11 +22,15 @@ number moved by more than ``RTOL`` (rel 1e-12), else 1.
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
 200-point grid among them); bandwidth extremes; input errors; malformed and
-unusual CSV files; five ``simulate --workers 2`` studies.  The ``power:1.2``
+unusual CSV files; five ``simulate --workers 2`` studies and two invalid
+ones (``--out`` naming a file, a repeated method).  The ``power:1.2``
 fits and study reach M-solver runs that stall at a fixed point or a cycle;
 the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
-with a zero covariate, where the curvature matrix holds inf * 0 = NaN.
+with a zero covariate, where the curvature matrix holds inf * 0 = NaN, and
+three ``power:1.2`` np fits there put g2 = inf into the kernel sums.  On
+``constant.csv``, whose covariate is constant so the first step fails, five
+fits carry a malformed flag that only their route uses.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ CSV_SIZES = {"q1": (1, 150), "q2": (2, 250), "q3": (3, 300)}
 #: Seven rows on which a power fit with 1 < p < 2 reaches an exact zero
 #: residual in the row with x1 = 0.
 ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
+#: Five rows whose only covariate is constant, so every first step fails.
+CONSTANT_CSV = "y,x1\n1,2\n2,2\n3,2\n4,2\n5,2\n"
 RTOL = 1e-12  # largest relative move of a number that passes
 
 
@@ -147,7 +153,21 @@ def command_set() -> list[tuple[str, list[str]]]:
                                    "--loss", "power:1.2"],
         "zero-residual-power1.5": ["fit", "--data", "data/zero_residual.csv",
                                    "--loss", "power:1.5"],
+        "err-epsilon-np": q2 + ["--weights", "np", "--epsilon", "abc"],
     }
+    for h in ("0.5", "3", "100"):
+        more[f"zero-residual-power1.2-np-h{h}"] = [
+            "fit", "--data", "data/zero_residual.csv", "--loss", "power:1.2",
+            "--weights", "np", "--bandwidth", h]
+    late_flags = {
+        "bandwidth": ["--weights", "np", "--bandwidth", "abc"],
+        "oracle-missing": ["--weights", "oracle"],
+        "epsilon": ["--weights", "sp-proj", "--epsilon", "-1"],
+        "sigma-model": ["--weights", "parametric", "--sigma-model", "bogus"],
+        "grid-inverted": ["--weights", "np", "--cv-grid", "3:1:5"],
+    }
+    for name, flags in late_flags.items():
+        more[f"constant-x/err-{name}"] = ["fit", "--data", "data/constant.csv", *flags]
     cmds += [(f"fit/{name}", argv) for name, argv in more.items()]
     for name in ingest_cases():
         cmds.append((f"ingest/{name}", ["fit", "--data", f"data/{name}", "--weights", "constant"]))
@@ -166,6 +186,12 @@ def command_set() -> list[tuple[str, list[str]]]:
     for name, argv in studies.items():
         cmds.append((f"simulate/{name}", ["simulate", *argv, "--seed", "7",
                                           "--workers", "2", "--out", f"out/{name}"]))
+    small = ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
+             "--seed", "7"]
+    cmds.append(("simulate/err-out-is-a-file",
+                 small + ["--methods", "first-step", "--out", "data/q1.csv"]))
+    cmds.append(("simulate/err-repeated-methods",
+                 small + ["--methods", "np,np", "--out", "out/repeated-methods"]))
     return cmds
 
 
@@ -175,8 +201,9 @@ def write_inputs(root: str) -> None:
     for name, (q, n) in CSV_SIZES.items():
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(fit_csv_text(q, n, seed=q))
-    with open(os.path.join(data, "zero_residual.csv"), "w", newline="") as handle:
-        handle.write(ZERO_RESIDUAL_CSV)
+    for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV)):
+        with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
+            handle.write(text)
     for name, content in ingest_cases().items():
         path = os.path.join(data, name)
         if content is None:
