@@ -31,15 +31,16 @@ def main():
     data = Dataset(y=y, x=x)
 
     print("=== 1. OLS vs precision-weighted WLS ===")
-    ols = fit_wls(data, np.ones(n))
-    wls = fit_wls(data, 1.0 / sigma**2)
+    unit, precision = np.ones(n), 1.0 / sigma**2
+    ols = fit_wls(data, unit)
+    wls = fit_wls(data, precision)
     print(f"  true beta:      {beta_true}")
     print(f"  OLS:            {np.round(ols.beta, 4)}  |err|^2 = {np.sum((ols.beta-beta_true)**2):.5f}")
     print(f"  WLS (1/var):    {np.round(wls.beta, 4)}  |err|^2 = {np.sum((wls.beta-beta_true)**2):.5f}")
 
     print("\n=== 2. Sandwich standard errors ===")
-    for name, fit in (("OLS", ols), ("WLS", wls)):
-        cov = sandwich_covariance(data, LossFunction.square(), fit.weights, fit.beta)
+    for name, weights, fit in (("OLS", unit, ols), ("WLS", precision, wls)):
+        cov = sandwich_covariance(data, LossFunction.square(), weights, fit.beta)
         ses = np.sqrt(np.diag(cov))
         print(f"  {name}: SE = {np.round(ses, 4)}")
 

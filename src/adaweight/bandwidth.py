@@ -70,19 +70,14 @@ class CvResult:
     valid_fraction: np.ndarray
 
 
-def default_grid(
-    data: Dataset, fs: FirstStepFit, mode: str, eps: float | None = None
-) -> np.ndarray:
+def default_grid(points: np.ndarray) -> np.ndarray:
     """Geometric grid of GRID_SIZE bandwidths from pilot/GRID_SPAN to pilot*GRID_SPAN.
 
-    The pilot is ``scale * n**(-1/(d+4))`` where ``scale`` is the root mean
-    per-coordinate variance of the smoothing coordinates and ``d`` their
-    dimension.
+    ``points`` are the ``(n, d)`` smoothing coordinates
+    (:func:`adaweight.weights.smoothing_coordinates`).  The pilot is
+    ``scale * n**(-1/(d+4))`` where ``scale`` is the root mean
+    per-coordinate variance of ``points``.
     """
-    return _grid_around_pilot(smoothing_coordinates(data, fs, mode, eps))
-
-
-def _grid_around_pilot(points: np.ndarray) -> np.ndarray:
     n, d = points.shape
     scale = float(np.sqrt(np.mean(np.var(points, axis=0))))
     if not scale > 0:
@@ -142,10 +137,11 @@ def cv_bandwidth(
 ) -> CvResult:
     """Pick the bandwidth minimizing the leave-one-out variance criterion.
 
-    ``grid`` defaults to :func:`default_grid`.  Scores average the
-    leave-one-out squared errors over all n points, with non-evaluable
-    terms contributing their raw e^4 (see the module docstring); candidates
-    below the 80% validity threshold are disqualified.
+    ``grid`` defaults to :func:`default_grid` of the smoothing coordinates.
+    Scores average the leave-one-out squared errors over all n points, with
+    non-evaluable terms contributing their raw e^4 (see the module
+    docstring); candidates below the 80% validity threshold are
+    disqualified.
 
     Raises
     ------
@@ -154,12 +150,10 @@ def cv_bandwidth(
     """
     points = smoothing_coordinates(data, fs, mode, eps)
     if grid is None:
-        grid = _grid_around_pilot(points)
+        grid = default_grid(points)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DataError("bandwidth grid is empty")
-    if np.any(grid <= 0):
-        raise DataError("bandwidth grid must be positive")
 
     scores, fractions = _loo_scan(points, fs.residuals**2, grid)
 

@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure
 (with the error category as JSON on stderr).  ``fit`` checks every flag,
 whatever the route, before it reads the CSV, and ``simulate`` creates the
 output directory before the study runs, so invalid input exits 2 even where
-the computation would also fail.
+the computation would also fail.  A result file it cannot write exits 2 too.
 """
 
 from __future__ import annotations
@@ -118,8 +118,6 @@ def parse_bandwidth(text: str) -> float | str:
     if text == "cv":
         return "cv"
     h = _parse_float(text, "bandwidth")
-    if not h > 0:
-        raise DataError(f"bandwidth must be positive, got {h}")
     squared_bandwidth(h)
     return h
 
@@ -137,7 +135,7 @@ def parse_cv_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _run_fit(args) -> dict:
+def _run_fit(args) -> str:
     # parse every flag, whatever the route, before any data is read
     loss = parse_loss(args.loss)
     route = args.weights
@@ -192,7 +190,7 @@ def _run_fit(args) -> dict:
     fit = weighted_fit(data, loss, w)
     cov = sandwich_covariance(data, loss, w, fit.beta)
 
-    return {
+    return to_json_text({
         "beta": [float(b) for b in fit.beta],
         "standard_errors": [float(s) for s in np.sqrt(np.diag(cov))],
         "weights_summary": {
@@ -208,10 +206,10 @@ def _run_fit(args) -> dict:
             "converged": fit.converged,
             "gradient_norm": fit.gradient_norm,
         },
-    }
+    })
 
 
-def _run_simulate(args) -> dict:
+def _run_simulate(args) -> str:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     config = SimConfig(
         n=_parse_int(args.n, "--n"),
@@ -231,11 +229,14 @@ def _run_simulate(args) -> dict:
     except OSError as exc:
         raise DataError(f"{args.out}: cannot create directory: {exc.strerror or exc}") from None
     result = run_study(config, workers=workers)
-    write_errors_csv(os.path.join(args.out, "errors.csv"), result)
-    summary = study_summary_dict(result)
-    with open(os.path.join(args.out, "summary.json"), "w") as handle:
-        handle.write(to_json_text(summary))
-    return summary
+    text = to_json_text(study_summary_dict(result))
+    try:
+        write_errors_csv(os.path.join(args.out, "errors.csv"), result)
+        with open(os.path.join(args.out, "summary.json"), "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DataError(f"{args.out}: cannot write results: {exc.strerror or exc}") from None
+    return text
 
 
 def main(argv=None) -> int:
@@ -250,11 +251,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "fit":
-            report = _run_fit(args)
-        else:
-            report = _run_simulate(args)
-        sys.stdout.write(to_json_text(report))
+        run = _run_fit if args.command == "fit" else _run_simulate
+        sys.stdout.write(run(args))
         return 0
     except DataError as exc:
         sys.stderr.write(to_json_text({"error": "input", "message": str(exc)}))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateCurvatureError, DegenerateDesignError
+from .errors import DataError, DegenerateCurvatureError, DegenerateDesignError, NumericalError
 from .losses import LossFunction
 
 #: Reciprocal-condition threshold below which a moment matrix is treated as
@@ -96,7 +96,6 @@ class FitResult:
     """
 
     beta: np.ndarray
-    weights: np.ndarray
     iterations: int
     converged: bool
     gradient_norm: float
@@ -169,7 +168,6 @@ def fit_wls(data: Dataset, weights) -> FitResult:
     grad = 2.0 * (gamma - sigma @ beta)
     return FitResult(
         beta=beta,
-        weights=w,
         iterations=0,
         converged=True,
         gradient_norm=float(np.max(np.abs(grad))),
@@ -376,7 +374,6 @@ def fit_weighted_m(
     gnorm = float(np.abs(grad).max())
     return FitResult(
         beta=beta,
-        weights=w,
         iterations=iterations,
         converged=bool(gnorm <= tol),
         gradient_norm=gnorm,
@@ -398,6 +395,8 @@ def sandwich_covariance(data: Dataset, loss: LossFunction, weights, beta) -> np.
         residual beyond the cutoff, or a NaN in C from a power curvature of
         inf times a zero covariate (numpy's invalid-value warning for it is
         silenced).
+    NumericalError
+        If the covariance is not finite (a squared score or weight overflowed).
     """
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
@@ -413,4 +412,7 @@ def sandwich_covariance(data: Dataset, loss: LossFunction, weights, beta) -> np.
         )
     c_inv = np.linalg.inv(c_mat)
     cov = c_inv @ m_mat @ c_inv / data.n
+    if not np.all(np.isfinite(cov)):
+        raise NumericalError("the sandwich covariance is not finite; a squared "
+                             "score or a squared weight overflowed")
     return 0.5 * (cov + cov.T)

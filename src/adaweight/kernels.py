@@ -55,8 +55,7 @@ class EpanechnikovKernel:
             raise ValueError(
                 f"point dimension {arr.shape[-1]} does not match kernel dimension {self.dim}"
             )
-        sq = np.sum(arr**2, axis=-1)
-        out = self.norm_const * np.clip(1.0 - sq, 0.0, None)
+        out = self.profile(np.sum(arr**2, axis=-1))
         if out.ndim == 0:
             return float(out)
         return out

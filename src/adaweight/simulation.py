@@ -131,12 +131,9 @@ class SimConfig:
             raise DataError(f"methods {repeated} are repeated; name each method once")
         if not self.methods:
             raise DataError("at least one method is required")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "cv":
+        if self.bandwidth != "cv":
+            if isinstance(self.bandwidth, str):
                 raise DataError("bandwidth must be 'cv' or a positive real")
-        elif not self.bandwidth > 0:
-            raise DataError("bandwidth must be 'cv' or a positive real")
-        else:
             squared_bandwidth(self.bandwidth)
 
 
@@ -147,7 +144,6 @@ class ReplicationOutcome:
     beta: np.ndarray | None
     sq_error: float
     status: str
-    message: str = ""
 
     @property
     def ok(self) -> bool:
@@ -190,7 +186,7 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
             beta = fs.beta if w is None else weighted_fit(data, config.loss, w).beta
         except NumericalError as exc:
             outcomes[method] = ReplicationOutcome(
-                beta=None, sq_error=float("nan"), status=exc.category, message=str(exc)
+                beta=None, sq_error=float("nan"), status=exc.category
             )
             continue
         sq_error = float(np.sum((beta - beta0) ** 2))

@@ -35,8 +35,9 @@ are not applied and no bandwidth can underflow them.  The coordinates are
 centred before the distances are taken, so an offset of the covariates does
 not cost precision.  Numerators and denominators are floored at 1e-8 of
 their maximum so the returned sequences are strictly positive and finite.
-A numerator that is not finite (a power loss with p < 2 has g2 = inf at an
-exact zero residual) raises DegenerateCurvatureError.
+A denominator that is not finite (an overflowed squared score or distance)
+raises NumericalError, and a numerator that is not finite (g2 = inf at an
+exact zero residual, for a power loss with p < 2) DegenerateCurvatureError.
 
 A point with no other observation within h smooths only its own residual,
 so its weight is the pointwise ratio g2(e_i)/g1(e_i) (1/(2 e_i^2) for square
@@ -56,6 +57,7 @@ from .errors import (
     DataError,
     DegenerateCurvatureError,
     IndexDegenerateError,
+    NumericalError,
     WeightFamilyError,
 )
 from .estimators import Dataset, FitResult, fit_weighted_m, fit_wls, _solve_spd
@@ -207,12 +209,12 @@ def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
 
 
 def squared_bandwidth(h: float) -> float:
-    """``h**2`` for a usable bandwidth ``h``.
+    """``h**2`` for a usable bandwidth ``h``: the one test of a bandwidth.
 
     Raises DataError when ``h`` is not positive or its square overflows.
     """
     if not h > 0:
-        raise DataError("bandwidth must be positive")
+        raise DataError(f"bandwidth must be positive, got {h}")
     h2 = float(h) * float(h)
     if not np.isfinite(h2):
         raise DataError(f"bandwidth {float(h):g} is too large: its square overflows")
@@ -254,6 +256,9 @@ def _ratio_weights(
         k = kernel.profile(d2, out=d2)
         num[block] = k @ g2
         den[block] = k @ g1
+    if not np.isfinite(np.max(den)):  # an overflow, so checked before the numerators
+        raise NumericalError("a smoothing denominator is not finite; a squared "
+                             "first-step score or a squared distance overflowed")
     num = _floor_positive(num, "numerator")
     den = _floor_positive(den, "denominator")
     return num / den

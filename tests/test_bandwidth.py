@@ -135,6 +135,11 @@ class TestCvBandwidth:
         assert res.h_cv == 1.5
         assert res.valid_fraction[0] >= 0.8
 
+    def test_non_positive_candidate_is_input_error(self):
+        d, fs = random_fit(np.random.default_rng(72))
+        with pytest.raises(DataError, match="bandwidth must be positive, got 0.0"):
+            cv_bandwidth(d, fs, "np", grid=[0.5, 0.0])
+
     def test_duplicate_grid_is_deterministic(self):
         rng = np.random.default_rng(73)
         d, fs = random_fit(rng)
@@ -169,7 +174,7 @@ class TestCvBandwidth:
                 terms.append((e2[i] - (loo if loo is not None else 0.0)) ** 2)
             assert res.scores[j] == pytest.approx(np.mean(terms), rel=1e-12)
         default = cv_bandwidth(d, fs, mode, eps=eps).grid
-        assert np.array_equal(default, default_grid(d, fs, mode, eps))
+        assert np.array_equal(default, default_grid(smoothing_coordinates(d, fs, mode, eps)))
 
     def test_tiny_invalid_candidate_loses_to_moderate(self):
         # squared residuals smooth in x: the moderate bandwidth must win and
@@ -261,7 +266,7 @@ class TestDefaultGrid:
     def test_brackets_pilot(self):
         rng = np.random.default_rng(81)
         d, fs = random_fit(rng, n=100, q=2)
-        grid = default_grid(d, fs, "np")
+        grid = default_grid(smoothing_coordinates(d, fs, "np"))
         scale = float(np.sqrt(np.mean(np.var(d.x, axis=0))))
         pilot = scale * d.n ** (-1.0 / 6.0)
         assert len(grid) == 20
@@ -271,7 +276,7 @@ class TestDefaultGrid:
     def test_index_mode_uses_univariate_rate(self):
         rng = np.random.default_rng(82)
         d, fs = random_fit(rng, n=100, q=3)
-        grid = default_grid(d, fs, "sp-index")
+        grid = default_grid(smoothing_coordinates(d, fs, "sp-index"))
         t = d.x @ fs.slope
         pilot = float(np.std(t)) * d.n ** (-1.0 / 5.0)
         assert grid[0] == pytest.approx(pilot / 4.0, rel=1e-12)
@@ -279,7 +284,7 @@ class TestDefaultGrid:
     def test_grid_is_geometric(self):
         rng = np.random.default_rng(83)
         d, fs = random_fit(rng)
-        grid = default_grid(d, fs, "np")
+        grid = default_grid(smoothing_coordinates(d, fs, "np"))
         ratios = grid[1:] / grid[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-10)
 

@@ -39,6 +39,8 @@ from adaweight.dataio import _read_cells, read_csv, to_json_text, write_csv
 CONSTANT_CSV = "y,x1\n1,2\n2,2\n3,2\n4,2\n5,2\n"
 #: Seven rows on which a power fit reaches an exact zero residual at x1 = 0.
 ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
+#: Six rows whose residuals are about 1e160, so their squares overflow.
+OVERFLOW_CSV = "y,x1\n1e160,0\n-1e160,1\n2e160,2\n0,3\n1e159,4\n-3e160,5\n"
 
 
 @pytest.fixture
@@ -482,6 +484,8 @@ class TestFitParsesFlagsFirst:
         (["--weights", "parametric", "--sigma-model", "bogus"],
          "--sigma-model must be smooth or disc, got 'bogus'"),
         (["--weights", "np", "--cv-grid", "3:1:5"], "invalid --cv-grid '3:1:5'"),
+        (["--weights", "np", "--bandwidth", "-1"], "bandwidth must be positive, got -1.0"),
+        (["--weights", "np", "--bandwidth", "0"], "bandwidth must be positive, got 0.0"),
     ])
     def test_flag_error_precedes_failing_first_step(self, capsys, tmp_path, flags, message):
         path = tmp_path / "constant.csv"
@@ -576,6 +580,18 @@ class TestCmdSimulate:
         report = json.loads(err)
         assert report["error"] == "input" and report["message"].startswith(f"{target}: ")
 
+    def test_unwritable_result_is_input_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "o2"
+        (out_dir / "errors.csv").mkdir(parents=True)
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc",
+            "--methods", "first-step", "--reps", "1", "--seed", "1", "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        report = json.loads(err)
+        assert report["error"] == "input"
+        assert report["message"].startswith(f"{out_dir}: cannot write results: ")
+
     def test_repeated_method_is_input_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc",
@@ -644,6 +660,29 @@ def test_bandwidth_with_overflowing_square_is_input_error(
     report = json.loads(err)
     assert report["error"] == "input"
     assert f"bandwidth {named} is too large" in report["message"]
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--weights", "np", "--bandwidth", "3"], 3),
+    (["--weights", "np"], 3),
+    (["--weights", "sp-index", "--bandwidth", "3"], 3),
+    (["--weights", "sp-proj", "--bandwidth", "3"], 3),
+    (["--weights", "constant"], 3),
+    (["--weights", "constant", "--loss", "power:1.5"], 3),
+    (["--weights", "constant", "--loss", "huber:1.345"], 0),
+])
+def test_overflowing_square_is_numerical_error(capsys, tmp_path, flags, code):
+    # squared scores (and, in the index geometries, squared distances) of
+    # residuals near 1e160 overflow; the huber score is bounded
+    path = tmp_path / "overflow.csv"
+    path.write_text(OVERFLOW_CSV)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got, out, err = run_cli(capsys, "fit", "--data", str(path), *flags)
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert json.loads(err[err.rindex("{"):])["error"] == "numerical"
 
 
 @pytest.mark.parametrize("name, content", [

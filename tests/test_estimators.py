@@ -9,6 +9,7 @@ from adaweight import (
     DegenerateCurvatureError,
     DegenerateDesignError,
     LossFunction,
+    NumericalError,
     estimating_equation,
     fit_weighted_m,
     fit_wls,
@@ -275,7 +276,7 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
         iterates.append(beta)
     final = estimating_equation(data, loss, w, beta)
     gnorm = float(np.max(np.abs(final)))
-    return est.FitResult(beta=beta, weights=w, iterations=iterations,
+    return est.FitResult(beta=beta, iterations=iterations,
                          converged=bool(gnorm <= tol), gradient_norm=gnorm)
 
 
@@ -495,6 +496,17 @@ class TestFitWeightedMInputs:
 
 
 class TestSandwichCovariance:
+    @pytest.mark.parametrize("loss", (SQUARE, LossFunction.power(1.5)), ids=str)
+    def test_overflowing_squared_score_is_numerical_error(self, loss):
+        # |e| ~ 1e160: the squared score g1(e) overflows in the meat matrix
+        d = Dataset(y=np.array([1e160, -1e160, 2e160, 0.0, 1e159, -3e160]),
+                    x=np.arange(6.0).reshape(-1, 1))
+        beta = fit_wls(d, np.ones(6)).beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="covariance is not finite") as info:
+                sandwich_covariance(d, loss, np.ones(6), beta)
+        assert type(info.value) is NumericalError
+
     def test_zero_residuals_give_zero_matrix(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(10, 2))

@@ -70,6 +70,9 @@ class TestSimConfig:
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, methods=("nope",))
         with pytest.raises(DataError):
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=-1.0)
+        for h in (float("nan"), 0.0):
+            with pytest.raises(DataError, match="bandwidth must be positive, got"):
+                SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=h)
         with pytest.raises(DataError):
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth="tiny")
         with pytest.raises(DataError, match="1e\\+200 is too large"):
@@ -175,7 +178,7 @@ class TestRunStudy:
                 return {
                     "first-step": ReplicationOutcome(
                         beta=None, sq_error=float("nan"),
-                        status="degenerate-design", message="synthetic",
+                        status="degenerate-design",
                     )
                 }
             return real(config, r)
@@ -196,7 +199,7 @@ class TestRunStudy:
                 return {
                     "first-step": ReplicationOutcome(
                         beta=None, sq_error=float("nan"),
-                        status="degenerate-design", message="synthetic",
+                        status="degenerate-design",
                     )
                 }
             return real(config, r)

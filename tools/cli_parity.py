@@ -22,15 +22,18 @@ number moved by more than ``RTOL`` (rel 1e-12), else 1.
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
 200-point grid among them); bandwidth extremes; input errors; malformed and
-unusual CSV files; five ``simulate --workers 2`` studies and two invalid
-ones (``--out`` naming a file, a repeated method).  The ``power:1.2``
+unusual CSV files; five ``simulate --workers 2`` studies and three invalid
+ones (``--out`` naming a file, a repeated method, an ``--out`` whose
+``errors.csv`` is a directory).  The ``power:1.2``
 fits and study reach M-solver runs that stall at a fixed point or a cycle;
 the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
 with a zero covariate, where the curvature matrix holds inf * 0 = NaN, and
 three ``power:1.2`` np fits there put g2 = inf into the kernel sums.  On
 ``constant.csv``, whose covariate is constant so the first step fails, five
-fits carry a malformed flag that only their route uses.
+fits carry a malformed flag that only their route uses.  On
+``overflow.csv``, whose residuals are about 1e160, seven fits square them
+past the float range (all but the huber one fail).
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ CSV_SIZES = {"q1": (1, 150), "q2": (2, 250), "q3": (3, 300)}
 ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
 #: Five rows whose only covariate is constant, so every first step fails.
 CONSTANT_CSV = "y,x1\n1,2\n2,2\n3,2\n4,2\n5,2\n"
+#: Six rows whose residuals are about 1e160, so their squares overflow.
+OVERFLOW_CSV = "y,x1\n1e160,0\n-1e160,1\n2e160,2\n0,3\n1e159,4\n-3e160,5\n"
+#: Output directory of a study whose ``errors.csv`` is a directory.
+UNWRITABLE_OUT = "out/unwritable"
 RTOL = 1e-12  # largest relative move of a number that passes
 
 
@@ -168,6 +175,17 @@ def command_set() -> list[tuple[str, list[str]]]:
     }
     for name, flags in late_flags.items():
         more[f"constant-x/err-{name}"] = ["fit", "--data", "data/constant.csv", *flags]
+    overflow = {
+        "np-h3": ["--weights", "np", "--bandwidth", "3"],
+        "np-cv": ["--weights", "np"],
+        "sp-index-h3": ["--weights", "sp-index", "--bandwidth", "3"],
+        "sp-proj-h3": ["--weights", "sp-proj", "--bandwidth", "3"],
+        "constant-square": ["--weights", "constant"],
+        "constant-power1.5": ["--weights", "constant", "--loss", "power:1.5"],
+        "constant-huber1.345": ["--weights", "constant", "--loss", "huber:1.345"],
+    }
+    for name, flags in overflow.items():
+        more[f"overflow/{name}"] = ["fit", "--data", "data/overflow.csv", *flags]
     cmds += [(f"fit/{name}", argv) for name, argv in more.items()]
     for name in ingest_cases():
         cmds.append((f"ingest/{name}", ["fit", "--data", f"data/{name}", "--weights", "constant"]))
@@ -192,6 +210,8 @@ def command_set() -> list[tuple[str, list[str]]]:
                  small + ["--methods", "first-step", "--out", "data/q1.csv"]))
     cmds.append(("simulate/err-repeated-methods",
                  small + ["--methods", "np,np", "--out", "out/repeated-methods"]))
+    cmds.append(("simulate/err-errors-csv-is-a-directory",
+                 small + ["--methods", "first-step", "--out", UNWRITABLE_OUT]))
     return cmds
 
 
@@ -201,7 +221,9 @@ def write_inputs(root: str) -> None:
     for name, (q, n) in CSV_SIZES.items():
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(fit_csv_text(q, n, seed=q))
-    for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV)):
+    os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
+    for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV),
+                       ("overflow", OVERFLOW_CSV)):
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(text)
     for name, content in ingest_cases().items():
@@ -227,7 +249,7 @@ def run_side(tree: str, work: str, cmds) -> dict[str, dict[str, bytes]]:
             out = os.path.join(work, argv[argv.index("--out") + 1])
             for file in ("errors.csv", "summary.json"):
                 path = os.path.join(out, file)
-                if os.path.exists(path):
+                if os.path.isfile(path):
                     with open(path, "rb") as handle:
                         record[file] = handle.read()
         records[name] = record
