@@ -20,7 +20,7 @@ def main():
         result = run_study(cfg, workers=4)
         print(f"=== {label}: n={cfg.n}, q={cfg.q}, {cfg.replications} replications ===")
         print(f"{'method':<12} {'q1':>10} {'median':>10} {'q3':>10} {'mean':>10}")
-        summary = result.summary()
+        summary = result.summary()["methods"]
         for method in cfg.methods:
             s = summary[method]
             print(f"{method:<12} {s['q1']:>10.5f} {s['median']:>10.5f} "

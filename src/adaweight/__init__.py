@@ -9,7 +9,6 @@ optimally weighted reference fit.
 from .bandwidth import CvResult, cv_bandwidth, default_grid
 from .errors import (
     BandwidthGridError,
-    BandwidthTooSmallError,
     DataError,
     DegenerateCurvatureError,
     DegenerateDesignError,

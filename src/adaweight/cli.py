@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure
 whatever the route, before it reads the CSV, and ``simulate`` creates the
 output directory before the study runs, so invalid input exits 2 even where
 the computation would also fail.  A result file it cannot write exits 2 too.
+``fit`` runs with numpy's floating-point warnings off, so its stderr holds
+only the JSON error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import numpy as np
 
 from .bandwidth import cv_bandwidth
-from .dataio import read_csv, study_summary_dict, to_json_text, write_errors_csv
+from .dataio import read_csv, to_json_text, write_errors_csv
 from .errors import DataError, NumericalError
 from .estimators import sandwich_covariance
 from .losses import LossFunction
@@ -131,10 +133,12 @@ def parse_cv_grid(text: str) -> np.ndarray:
     count = _parse_int(parts[2], "grid count")
     if not (0 < lo <= hi) or count < 1:
         raise DataError(f"invalid --cv-grid {text!r}")
-    squared_bandwidth(hi)
+    squared_bandwidth(hi)  # before lo, so an overflow is named ahead of an underflow
+    squared_bandwidth(lo)
     return np.geomspace(lo, hi, count)
 
 
+@np.errstate(all="ignore")  # a non-finite value ends in a typed error, not a warning
 def _run_fit(args) -> str:
     # parse every flag, whatever the route, before any data is read
     loss = parse_loss(args.loss)
@@ -170,11 +174,7 @@ def _run_fit(args) -> str:
         if bandwidth == "cv":
             cv = cv_bandwidth(data, fs, route, grid=grid, eps=eps_used)
             h_used, h_selection = cv.h_cv, "cv"
-            cv_diag = {
-                "grid": [float(v) for v in cv.grid],
-                "scores": [float(v) for v in cv.scores],
-                "valid_fraction": [float(v) for v in cv.valid_fraction],
-            }
+            cv_diag = {"grid": cv.grid, "scores": cv.scores, "valid_fraction": cv.valid_fraction}
         else:
             h_used, h_selection = bandwidth, "fixed"
         if route == "np":
@@ -191,12 +191,12 @@ def _run_fit(args) -> str:
     cov = sandwich_covariance(data, loss, w, fit.beta)
 
     return to_json_text({
-        "beta": [float(b) for b in fit.beta],
-        "standard_errors": [float(s) for s in np.sqrt(np.diag(cov))],
+        "beta": fit.beta,
+        "standard_errors": np.sqrt(np.diag(cov)),
         "weights_summary": {
-            "min": float(np.min(w)),
-            "median": float(np.median(w)),
-            "max": float(np.max(w)),
+            "min": np.min(w),
+            "median": np.median(w),
+            "max": np.max(w),
             "clamp_count": clamp_count,
         },
         "bandwidth": {"value": h_used, "selection": h_selection, "cv": cv_diag},
@@ -229,7 +229,7 @@ def _run_simulate(args) -> str:
     except OSError as exc:
         raise DataError(f"{args.out}: cannot create directory: {exc.strerror or exc}") from None
     result = run_study(config, workers=workers)
-    text = to_json_text(study_summary_dict(result))
+    text = to_json_text(result.summary())
     try:
         write_errors_csv(os.path.join(args.out, "errors.csv"), result)
         with open(os.path.join(args.out, "summary.json"), "w") as handle:

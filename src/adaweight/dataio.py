@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DataError
 from .estimators import Dataset
-from .simulation import StudyResult
 
 
 def _format_float(value: float) -> str:
@@ -180,26 +179,8 @@ def _to_json(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def study_summary_dict(result: StudyResult) -> dict:
-    """JSON-ready summary of a study, methods in config order."""
-    cfg = result.config
-    return {
-        "config": {
-            "n": cfg.n,
-            "q": cfg.q,
-            "sigma": cfg.sigma,
-            "methods": list(cfg.methods),
-            "replications": cfg.replications,
-            "seed": cfg.seed,
-            "bandwidth": cfg.bandwidth if cfg.bandwidth == "cv" else float(cfg.bandwidth),
-            "loss": str(cfg.loss),
-        },
-        "methods": result.summary(),
-    }
-
-
-def write_errors_csv(path: str, result: StudyResult) -> None:
-    """Per-replication errors: columns replication, method, sq_error, status."""
+def write_errors_csv(path: str, result) -> None:
+    """Per-replication errors of a StudyResult: replication, method, sq_error, status."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["replication", "method", "sq_error", "status"])

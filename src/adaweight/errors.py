@@ -3,7 +3,7 @@
 Two branches matter to callers: :class:`DataError` covers malformed inputs
 (bad files, bad flag values, impossible configurations) while
 :class:`NumericalError` covers failures of the estimation itself (singular
-designs, empty kernel windows, ...).  The CLI maps the former to exit code 2
+designs, vanished curvature, ...).  The CLI maps the former to exit code 2
 and the latter to exit code 3.
 """
 
@@ -30,12 +30,6 @@ class DegenerateCurvatureError(NumericalError):
     """Curvature matrix has no mass (e.g. all residuals beyond a Huber cutoff)."""
 
     category = "degenerate-curvature"
-
-
-class BandwidthTooSmallError(NumericalError):
-    """All kernel smoothing denominators collapsed to the floor."""
-
-    category = "bandwidth-too-small"
 
 
 class IndexDegenerateError(NumericalError):

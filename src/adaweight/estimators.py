@@ -145,6 +145,13 @@ def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return sol
 
 
+def _wls_solve(data: Dataset, xt, w, what: str):
+    """``(sigma, gamma, beta)`` of the weighted normal equations sigma beta = gamma."""
+    sigma = (xt * w[:, None]).T @ xt / data.n
+    gamma = xt.T @ (w * data.y) / data.n
+    return sigma, gamma, _solve_spd(sigma, gamma, what)
+
+
 def fit_wls(data: Dataset, weights) -> FitResult:
     """Exact minimizer of ``sum_i (y_i - b1 - b2'x_i)^2 w_i``.
 
@@ -161,10 +168,7 @@ def fit_wls(data: Dataset, weights) -> FitResult:
         weight mass sits on fewer than q+1 points.
     """
     w = _check_weights(data, weights)
-    xt = data.design_matrix()
-    sigma = (xt * w[:, None]).T @ xt / data.n
-    gamma = xt.T @ (w * data.y) / data.n
-    beta = _solve_spd(sigma, gamma, "weighted moment matrix")
+    sigma, gamma, beta = _wls_solve(data, data.design_matrix(), w, "weighted moment matrix")
     grad = 2.0 * (gamma - sigma @ beta)
     return FitResult(
         beta=beta,
@@ -216,10 +220,7 @@ def _irls_target(data: Dataset, loss: LossFunction, w, xt, abs_e) -> np.ndarray:
             # largest finite working ratio so the step stays well posed
             limit = 10.0 * float(np.max(ratio[nz])) if np.any(nz) else 1.0
         ratio[~nz] = limit
-    omega = w * ratio
-    sigma = (xt * omega[:, None]).T @ xt / data.n
-    gamma = xt.T @ (omega * data.y) / data.n
-    return _solve_spd(sigma, gamma, "IRLS working moment matrix")
+    return _wls_solve(data, xt, w * ratio, "IRLS working moment matrix")[2]
 
 
 @np.errstate(invalid="ignore")

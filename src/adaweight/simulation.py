@@ -20,6 +20,7 @@ the number of workers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -236,22 +237,36 @@ class StudyResult:
     def failures(self, method: str) -> int:
         return sum(1 for rep in self.outcomes if not rep[method].ok)
 
-    def summary(self) -> dict[str, dict]:
-        out = {}
-        for method in self.config.methods:
-            stats = summarize_errors(self.errors(method))
-            out[method] = {
-                "count": len(self.outcomes) - self.failures(method),
-                "failed": self.failures(method),
-                **stats,
+    def summary(self) -> dict:
+        """The summary.json object: the config, then methods in config order."""
+        cfg = self.config
+        methods = {}
+        for method in cfg.methods:
+            failed = self.failures(method)
+            methods[method] = {
+                "count": len(self.outcomes) - failed,
+                "failed": failed,
+                **summarize_errors(self.errors(method)),
             }
-        return out
+        return {
+            "config": {
+                "n": cfg.n, "q": cfg.q, "sigma": cfg.sigma, "methods": list(cfg.methods),
+                "replications": cfg.replications, "seed": cfg.seed,
+                "bandwidth": cfg.bandwidth if cfg.bandwidth == "cv" else float(cfg.bandwidth),
+                "loss": str(cfg.loss),
+            },
+            "methods": methods,
+        }
 
 
 def run_study(config: SimConfig, workers: int = 1) -> StudyResult:
-    """Run all replications; deterministic for a fixed config and any workers."""
+    """Run all replications; deterministic for a fixed config and any workers.
+
+    ``workers`` is capped at the replication count and at the CPU count.
+    """
     if workers < 1:
         raise DataError("workers must be >= 1")
+    workers = min(workers, config.replications, os.cpu_count() or 1)
     indices = range(config.replications)
     if workers == 1:
         outcomes = [run_replication(config, r) for r in indices]

@@ -35,9 +35,12 @@ are not applied and no bandwidth can underflow them.  The coordinates are
 centred before the distances are taken, so an offset of the covariates does
 not cost precision.  Numerators and denominators are floored at 1e-8 of
 their maximum so the returned sequences are strictly positive and finite.
-A denominator that is not finite (an overflowed squared score or distance)
-raises NumericalError, and a numerator that is not finite (g2 = inf at an
-exact zero residual, for a power loss with p < 2) DegenerateCurvatureError.
+In order: a denominator that is not finite (an overflowed squared score or
+distance) raises NumericalError; a numerator that is not finite (g2 = inf at
+an exact zero residual, for a power loss with p < 2) or that vanishes
+everywhere DegenerateCurvatureError; and a denominator that vanishes
+everywhere NumericalError.  Every window holds its own point and K(0) > 0,
+so that last case is an exact first-step fit, which no bandwidth changes.
 
 A point with no other observation within h smooths only its own residual,
 so its weight is the pointwise ratio g2(e_i)/g1(e_i) (1/(2 e_i^2) for square
@@ -53,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BandwidthTooSmallError,
     DataError,
     DegenerateCurvatureError,
     IndexDegenerateError,
@@ -211,34 +213,17 @@ def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
 def squared_bandwidth(h: float) -> float:
     """``h**2`` for a usable bandwidth ``h``: the one test of a bandwidth.
 
-    Raises DataError when ``h`` is not positive or its square overflows.
+    Raises DataError when ``h`` is not positive or its square overflows or
+    underflows to 0.
     """
     if not h > 0:
         raise DataError(f"bandwidth must be positive, got {h}")
     h2 = float(h) * float(h)
     if not np.isfinite(h2):
         raise DataError(f"bandwidth {float(h):g} is too large: its square overflows")
+    if h2 == 0.0:
+        raise DataError(f"bandwidth {float(h):g} is too small: its square underflows")
     return h2
-
-
-def _floor_positive(values: np.ndarray, what: str) -> np.ndarray:
-    top = float(np.max(values))
-    if what == "numerator" and not np.isfinite(top):  # g2 = inf, or inf * 0 = NaN
-        raise DegenerateCurvatureError(
-            "a smoothing numerator is not finite; the loss has infinite "
-            "curvature at an exact zero first-step residual"
-        )
-    if not top > 0:
-        if what == "denominator":
-            raise BandwidthTooSmallError(
-                "every smoothing denominator is at the floor; choose a larger "
-                "bandwidth or select it by cross-validation"
-            )
-        raise DegenerateCurvatureError(
-            "every smoothing numerator vanished; the loss has no curvature "
-            "mass at the first-step residuals"
-        )
-    return np.maximum(values, SMOOTHING_FLOOR * top)
 
 
 @np.errstate(invalid="ignore")  # inf * 0 = NaN in a numerator raises below
@@ -256,12 +241,20 @@ def _ratio_weights(
         k = kernel.profile(d2, out=d2)
         num[block] = k @ g2
         den[block] = k @ g1
-    if not np.isfinite(np.max(den)):  # an overflow, so checked before the numerators
+    top_num, top_den = float(np.max(num)), float(np.max(den))
+    if not np.isfinite(top_den):  # an overflow, so checked before the numerators
         raise NumericalError("a smoothing denominator is not finite; a squared "
                              "first-step score or a squared distance overflowed")
-    num = _floor_positive(num, "numerator")
-    den = _floor_positive(den, "denominator")
-    return num / den
+    if not np.isfinite(top_num):  # g2 = inf, or inf * 0 = NaN
+        raise DegenerateCurvatureError("a smoothing numerator is not finite; the loss has "
+                                       "infinite curvature at an exact zero first-step residual")
+    if not top_num > 0:
+        raise DegenerateCurvatureError("every smoothing numerator vanished; the loss has no "
+                                       "curvature mass at the first-step residuals")
+    if not top_den > 0:  # every window holds its own point, so no bandwidth helps
+        raise NumericalError("every smoothing denominator vanished; the first step fits "
+                             "the data exactly, so every first-step score is zero")
+    return np.maximum(num, SMOOTHING_FLOOR * top_num) / np.maximum(den, SMOOTHING_FLOOR * top_den)
 
 
 def np_weights(

@@ -41,6 +41,8 @@ CONSTANT_CSV = "y,x1\n1,2\n2,2\n3,2\n4,2\n5,2\n"
 ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
 #: Six rows whose residuals are about 1e160, so their squares overflow.
 OVERFLOW_CSV = "y,x1\n1e160,0\n-1e160,1\n2e160,2\n0,3\n1e159,4\n-3e160,5\n"
+#: Five rows with y = 0: the first step fits them exactly.
+EXACT_FIT_CSV = "y,x1\n0,0\n0,1\n0,2\n0,3\n0,5\n"
 
 
 @pytest.fixture
@@ -486,6 +488,10 @@ class TestFitParsesFlagsFirst:
         (["--weights", "np", "--cv-grid", "3:1:5"], "invalid --cv-grid '3:1:5'"),
         (["--weights", "np", "--bandwidth", "-1"], "bandwidth must be positive, got -1.0"),
         (["--weights", "np", "--bandwidth", "0"], "bandwidth must be positive, got 0.0"),
+        (["--weights", "np", "--bandwidth", "1e-200"],
+         "bandwidth 1e-200 is too small: its square underflows"),
+        (["--weights", "np", "--cv-grid", "1e-200:1:5"],
+         "bandwidth 1e-200 is too small: its square underflows"),
     ])
     def test_flag_error_precedes_failing_first_step(self, capsys, tmp_path, flags, message):
         path = tmp_path / "constant.csv"
@@ -677,12 +683,40 @@ def test_overflowing_square_is_numerical_error(capsys, tmp_path, flags, code):
     path = tmp_path / "overflow.csv"
     path.write_text(OVERFLOW_CSV)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")  # a warning would precede the JSON error
         got, out, err = run_cli(capsys, "fit", "--data", str(path), *flags)
     assert got == code
     if code == 3:
         assert out == ""
-        assert json.loads(err[err.rindex("{"):])["error"] == "numerical"
+        assert json.loads(err)["error"] == "numerical"
+
+
+def test_simulate_bandwidth_with_underflowing_square_is_input_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "1",
+        "--seed", "1", "--methods", "np", "--bandwidth", "1e-200", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input", "message": "bandwidth 1e-200 is too small: its square underflows"}
+
+
+@pytest.mark.parametrize("flags, category", [
+    (["--weights", "np", "--bandwidth", "1"], "numerical"),
+    (["--weights", "np", "--bandwidth", "100"], "numerical"),
+    (["--weights", "np"], "numerical"),
+    (["--weights", "np", "--loss", "huber:1.345", "--bandwidth", "1"], "numerical"),
+    (["--weights", "np", "--loss", "power:1.5", "--bandwidth", "1"], "degenerate-curvature"),
+])
+def test_exact_first_step_fit_is_numerical_error(capsys, tmp_path, flags, category):
+    # every first-step score is 0, so no bandwidth gives a nonzero denominator
+    path = tmp_path / "exact.csv"
+    path.write_text(EXACT_FIT_CSV)
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), *flags)
+    assert (code, out) == (3, "")
+    report = json.loads(err)
+    assert report["error"] == category
+    if category == "numerical":
+        assert "the first step fits the data exactly" in report["message"]
 
 
 @pytest.mark.parametrize("name, content", [

@@ -77,6 +77,8 @@ class TestSimConfig:
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth="tiny")
         with pytest.raises(DataError, match="1e\\+200 is too large"):
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=1e200)
+        with pytest.raises(DataError, match="1e-200 is too small"):
+            SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=1e-200)
 
     def test_repeated_method_rejected(self):
         with pytest.raises(DataError, match=r"\['np', 'sp'\] are repeated"):
@@ -161,10 +163,39 @@ class TestRunStudy:
     def test_summary_shape(self):
         cfg = SimConfig(n=80, q=2, sigma="disc", replications=5, seed=3,
                         methods=("first-step", "oracle"))
-        summary = run_study(cfg).summary()
+        summary = run_study(cfg).summary()["methods"]
         assert set(summary) == {"first-step", "oracle"}
         for stats in summary.values():
             assert stats["count"] == 5 and stats["failed"] == 0
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """``max_workers`` of every pool run_study builds, on a 2-CPU machine."""
+        sizes = []
+        real = simulation.ThreadPoolExecutor
+
+        def recorder(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recorder)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+        return sizes
+
+    def test_workers_capped_at_cpu_count(self, pool_sizes):
+        cfg = SimConfig(n=60, q=2, sigma="disc", replications=3, seed=3,
+                        methods=("first-step",))
+        result = run_study(cfg, workers=64)
+        assert pool_sizes == [2]
+        assert np.array_equal(result.errors("first-step"),
+                              run_study(cfg, workers=1).errors("first-step"))
+
+    def test_workers_capped_at_replication_count(self, pool_sizes):
+        cfg = SimConfig(n=60, q=2, sigma="disc", replications=1, seed=3,
+                        methods=("first-step", "oracle"))
+        result = run_study(cfg, workers=64)
+        assert pool_sizes == []
+        assert result.summary() == run_study(cfg, workers=1).summary()
 
     def test_study_error_when_too_many_failures(self, monkeypatch):
         from adaweight.simulation import ReplicationOutcome

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from adaweight import (
     DataError,
     Dataset,
+    DegenerateCurvatureError,
     EpanechnikovKernel,
     IndexDegenerateError,
     LossFunction,
@@ -36,6 +37,7 @@ from adaweight.weights import (
     _ratio_weights,
     pairwise_sq_dists,
     smoothing_coordinates,
+    squared_bandwidth,
     weighted_fit,
 )
 from adaweight.estimators import fit_weighted_m
@@ -133,6 +135,31 @@ class TestNpWeights:
                 np_weights(d, SQUARE, fs, h=3)
         assert type(info.value) is NumericalError
 
+    @pytest.mark.parametrize("h", [0.5, 5.0, 1e6])
+    def test_exact_first_step_fit_is_numerical_error(self, h):
+        # every first-step residual is 0, so every squared score is 0 and
+        # every denominator vanishes, at any bandwidth
+        d = Dataset(y=np.zeros(5), x=np.array([0.0, 1.0, 2.0, 3.0, 5.0]))
+        fs = first_step(d, SQUARE)
+        with pytest.raises(NumericalError, match="fits the data exactly") as info:
+            np_weights(d, SQUARE, fs, h=h)
+        assert type(info.value) is NumericalError
+
+    def test_every_residual_beyond_huber_cutoff_has_no_curvature(self):
+        d = Dataset(y=np.zeros(5), x=np.array([0.0, 1.0, 2.0, 3.0, 5.0]))
+        fs_like = first_step(d, SQUARE)
+        fs = type(fs_like)(beta=fs_like.beta, residuals=np.array([1.0, -1.0, 2.0, -2.0, 1.5]))
+        with pytest.raises(DegenerateCurvatureError, match="every smoothing numerator vanished"):
+            np_weights(d, LossFunction.huber(0.5), fs, h=2.0)
+
+    def test_infinite_numerator_is_named_before_vanished_denominator(self):
+        # power 1.5 at zero residuals: g2 = inf and g1 = 0 everywhere
+        d = Dataset(y=np.zeros(5), x=np.array([0.0, 1.0, 2.0, 3.0, 5.0]))
+        loss = LossFunction.power(1.5)
+        fs = first_step(d, loss)
+        with pytest.raises(DegenerateCurvatureError, match="numerator is not finite"):
+            np_weights(d, loss, fs, h=1.0)
+
     def test_isolated_point_reduces_to_pointwise_ratio(self):
         # window so small that only the self term contributes
         x = np.array([[0.0], [10.0], [20.0], [30.0]])
@@ -162,6 +189,23 @@ class TestNpWeights:
         fs = first_step(d, SQUARE)
         with pytest.raises(DataError, match="1e\\+200 is too large"):
             np_weights(d, SQUARE, fs, h=1e200)
+
+    def test_bandwidth_with_underflowing_square_rejected(self):
+        with pytest.raises(DataError, match="1.4e-162 is too small"):
+            squared_bandwidth(1.4e-162)
+
+    def test_subnormal_squared_bandwidth_keeps_the_self_term(self):
+        # 2e-162 squares to the least subnormal; only the self term remains
+        assert squared_bandwidth(2e-162) == 5e-324
+        rng = np.random.default_rng(46)
+        d, _ = heteroscedastic_sample(rng, n=250, q=2)
+        fs = first_step(d, SQUARE)
+        g1, g2 = SQUARE.g1(fs.residuals), SQUARE.g2(fs.residuals)
+        expected = g2 / np.maximum(g1, SMOOTHING_FLOOR * g1.max())
+        with np.errstate(over="ignore"):  # d2 / h^2 of the other pairs is inf
+            w = np_weights(d, SQUARE, fs, h=2e-162)
+            np.testing.assert_array_equal(w, np_weights(d, SQUARE, fs, h=1e-150))
+        np.testing.assert_allclose(w, expected, rtol=1e-12)
 
     def test_matches_inverse_smoothed_squared_residuals(self):
         # square loss: g2/g1 smoothing equals (1/2) / NW-smooth of e^2, so the

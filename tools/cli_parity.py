@@ -33,7 +33,12 @@ three ``power:1.2`` np fits there put g2 = inf into the kernel sums.  On
 ``constant.csv``, whose covariate is constant so the first step fails, five
 fits carry a malformed flag that only their route uses.  On
 ``overflow.csv``, whose residuals are about 1e160, seven fits square them
-past the float range (all but the huber one fail).
+past the float range (all but the huber one fail).  On ``exact_fit.csv``,
+whose first step fits exactly, six kernel fits meet a zero first-step score
+everywhere.  Five fits probe bandwidths whose square underflows or is
+subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300; one study
+has a bandwidth whose square underflows, and one asks for 64 workers for
+three replications.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ ZERO_RESIDUAL_CSV = "y,x1\n0,-3\n2,-1\n1,0\n0,1\n2,3\n3,2\n-1,-2\n"
 CONSTANT_CSV = "y,x1\n1,2\n2,2\n3,2\n4,2\n5,2\n"
 #: Six rows whose residuals are about 1e160, so their squares overflow.
 OVERFLOW_CSV = "y,x1\n1e160,0\n-1e160,1\n2e160,2\n0,3\n1e159,4\n-3e160,5\n"
+#: Five rows with y = 0: the first step fits them exactly, so every
+#: first-step score is 0.
+EXACT_FIT_CSV = "y,x1\n0,0\n0,1\n0,2\n0,3\n0,5\n"
 #: Output directory of a study whose ``errors.csv`` is a directory.
 UNWRITABLE_OUT = "out/unwritable"
 RTOL = 1e-12  # largest relative move of a number that passes
@@ -146,6 +154,12 @@ def command_set() -> list[tuple[str, list[str]]]:
         "h1e120-sp-proj": q3 + ["--weights", "sp-proj", "--bandwidth", "1e120"],
         "h1e-9-np": q2 + ["--weights", "np", "--bandwidth", "1e-9"],
         "h1e200-np": q2 + ["--weights", "np", "--bandwidth", "1e200"],
+        "h1e-200-np": q2 + ["--weights", "np", "--bandwidth", "1e-200"],
+        "h2e-162-np": q2 + ["--weights", "np", "--bandwidth", "2e-162"],
+        "grid-1e-200:1:5": q2 + ["--weights", "np", "--cv-grid", "1e-200:1:5"],
+        "power1000": q2 + ["--loss", "power:1000"],
+        "sp-proj-eps1e300-h1": q2 + ["--weights", "sp-proj", "--epsilon", "1e300",
+                                     "--bandwidth", "1"],
         "err-bandwidth": q2 + ["--weights", "np", "--bandwidth", "abc"],
         "err-huber": q2 + ["--loss", "huber:x"],
         "err-loss": q2 + ["--loss", "cauchy"],
@@ -186,6 +200,16 @@ def command_set() -> list[tuple[str, list[str]]]:
     }
     for name, flags in overflow.items():
         more[f"overflow/{name}"] = ["fit", "--data", "data/overflow.csv", *flags]
+    exact_fit = {
+        "np-h1": ["--weights", "np", "--bandwidth", "1"],
+        "np-h100": ["--weights", "np", "--bandwidth", "100"],
+        "np-cv": ["--weights", "np"],
+        "huber1.345-np-h1": ["--weights", "np", "--loss", "huber:1.345", "--bandwidth", "1"],
+        "power1.5-np-h1": ["--weights", "np", "--loss", "power:1.5", "--bandwidth", "1"],
+        "sp-index-h1": ["--weights", "sp-index", "--bandwidth", "1"],
+    }
+    for name, flags in exact_fit.items():
+        more[f"exact-fit/{name}"] = ["fit", "--data", "data/exact_fit.csv", *flags]
     cmds += [(f"fit/{name}", argv) for name, argv in more.items()]
     for name in ingest_cases():
         cmds.append((f"ingest/{name}", ["fit", "--data", f"data/{name}", "--weights", "constant"]))
@@ -212,6 +236,13 @@ def command_set() -> list[tuple[str, list[str]]]:
                  small + ["--methods", "np,np", "--out", "out/repeated-methods"]))
     cmds.append(("simulate/err-errors-csv-is-a-directory",
                  small + ["--methods", "first-step", "--out", UNWRITABLE_OUT]))
+    cmds.append(("simulate/err-h1e-200",
+                 ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "1",
+                  "--seed", "1", "--methods", "np", "--bandwidth", "1e-200",
+                  "--out", "out/h1e-200"]))
+    cmds.append(("simulate/workers64-reps3",
+                 ["simulate", "--n", "100", "--q", "2", "--sigma", "disc", "--reps", "3",
+                  "--seed", "7", "--workers", "64", "--out", "out/workers64"]))
     return cmds
 
 
@@ -223,7 +254,7 @@ def write_inputs(root: str) -> None:
             handle.write(fit_csv_text(q, n, seed=q))
     os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
     for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV),
-                       ("overflow", OVERFLOW_CSV)):
+                       ("overflow", OVERFLOW_CSV), ("exact_fit", EXACT_FIT_CSV)):
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(text)
     for name, content in ingest_cases().items():
