@@ -44,6 +44,10 @@ from .weights import (
 
 WEIGHT_ROUTES = ("constant", "parametric", *MODES, "oracle")
 
+#: Most --cv-grid candidates: the CV scan keeps sums per (row, candidate), so
+#: its memory grows with the count (a 40 MB tracemalloc peak at 1000, n = 2000).
+MAX_GRID_COUNT = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -67,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="constant | parametric | np | sp-index | sp-proj | oracle")
     fit.add_argument("--bandwidth", default="cv", help="cv | <h>")
     fit.add_argument("--epsilon", default="auto", help="auto | <e> (sp-proj only)")
-    fit.add_argument("--cv-grid", default=None, help="<min>:<max>:<count> geometric grid")
+    fit.add_argument("--cv-grid", default=None,
+                     help=f"<min>:<max>:<count> geometric grid, count <= {MAX_GRID_COUNT}")
     fit.add_argument("--sigma-model", default="smooth",
                      help="smooth | disc scale family for parametric/oracle weights")
     fit.add_argument("--oracle-beta", default=None,
@@ -133,6 +138,8 @@ def parse_cv_grid(text: str) -> np.ndarray:
     count = _parse_int(parts[2], "grid count")
     if not (0 < lo <= hi) or count < 1:
         raise DataError(f"invalid --cv-grid {text!r}")
+    if count > MAX_GRID_COUNT:
+        raise DataError(f"--cv-grid count must be at most {MAX_GRID_COUNT}, got {count}")
     squared_bandwidth(hi)  # before lo, so an overflow is named ahead of an underflow
     squared_bandwidth(lo)
     return np.geomspace(lo, hi, count)

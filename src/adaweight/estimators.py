@@ -23,7 +23,6 @@ Three operations live here:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,11 @@ from .losses import LossFunction
 #: Reciprocal-condition threshold below which a moment matrix is treated as
 #: singular.  Deterministic failure instead of noise amplification.
 RCOND_MIN = 1e-12
+
+#: M-solver convergence certificate: a bound on the estimating equation's max-norm.
+TOL = 1e-10
+#: M-solver Newton iteration cap; a fit that reaches it reports converged=False.
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -223,16 +227,7 @@ def _irls_target(data: Dataset, loss: LossFunction, w, xt, abs_e) -> np.ndarray:
     return _wls_solve(data, xt, w * ratio, "IRLS working moment matrix")[2]
 
 
-@np.errstate(invalid="ignore")
-def fit_weighted_m(
-    data: Dataset,
-    loss: LossFunction,
-    weights,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    init=None,
-) -> FitResult:
+def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
     """Weighted M-estimate ``argmin sum_i rho(|y_i - b1 - b2'x_i|) w_i``.
 
     The solver is damped Newton on the estimating equation with step-halving
@@ -240,10 +235,10 @@ def fit_weighted_m(
     curvature matrix is singular (e.g. every residual beyond a Huber
     cutoff, or a NaN from a power curvature of inf at an exact zero residual
     times a zero covariate; numpy's invalid-value warning for that NaN is
-    silenced once per call).  Convergence means the max-norm of the
-    estimating equation is at most ``tol``; a fit that exhausts ``max_iter``
-    is returned with ``converged=False`` and its final gradient norm, never
-    silently.
+    silenced once per call).  It starts at the unweighted square-loss fit.
+    Convergence means the max-norm of the estimating equation is at most
+    ``TOL``; a fit that reaches ``MAX_ITER`` iterations is returned with
+    ``converged=False`` and its final gradient norm, never silently.
 
     Each point the solver visits is evaluated once: its estimating equation
     at most once, and its residuals ``e`` and ``|e|`` once per iteration
@@ -254,14 +249,14 @@ def fit_weighted_m(
 
     With the data, loss and weights fixed, one iteration is a pure function
     of the iterate's bits.  An iterate met a second time therefore starts a
-    cycle the solver would repeat until ``max_iter``: first seen at
-    iteration j and met again at iteration k, it recurs with period
-    ``k - j``.  The solver stops there and returns the iterate the full
-    run would end on, ``history[j + (max_iter - j) % (k - j)]``, with that
-    iterate's certificate.  This happens where ``tol`` is out of reach of
-    the rounding of the estimating equation, as with power losses near a
-    zero residual.  ``iterations`` counts the Newton-map iterations that
-    the returned ``beta`` stands for, so such a fit reports ``max_iter``.
+    cycle the solver would repeat until the cap: first seen at iteration j
+    and met again at iteration k, it recurs with period ``k - j``.  The
+    solver stops there and returns the iterate the full run would end on,
+    ``history[j + (MAX_ITER - j) % (k - j)]``, with that iterate's
+    certificate.  This happens where ``TOL`` is out of reach of the
+    rounding of the estimating equation, as with power losses near a zero
+    residual.  ``iterations`` counts the Newton-map iterations that the
+    returned ``beta`` stands for, so such a fit reports ``MAX_ITER``.
 
     Parameters
     ----------
@@ -269,31 +264,15 @@ def fit_weighted_m(
     loss : LossFunction
     weights : array_like
         n nonnegative reals.
-    tol : float
-        Bound on the estimating-equation max-norm, a nonnegative real.
-    max_iter : int
-        Newton iteration cap, a nonnegative integer (not a bool).
-    init : array_like, optional
-        Finite starting coefficients; defaults to the unweighted square-loss
-        fit.
     """
     w = _check_weights(data, weights)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise DataError(f"tol must be a nonnegative number, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
-            or max_iter < 0:
-        raise DataError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-    max_iter = int(max_iter)
-    xt = data.design_matrix()
-    if init is None:
-        beta = fit_wls(data, np.ones(data.n)).beta.copy()
-    else:
-        beta = np.asarray(init, dtype=float).copy()
-        if beta.shape != (1 + data.q,):
-            raise DataError(f"init must have length {1 + data.q}")
-        if not np.all(np.isfinite(beta)):
-            raise DataError("init contains non-finite entries")
+    return _m_solve(data, loss, w, fit_wls(data, np.ones(data.n)).beta, MAX_ITER)
 
+
+@np.errstate(invalid="ignore")
+def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitResult:
+    """The solver loop of :func:`fit_weighted_m` from ``beta``, at most ``max_iter`` steps."""
+    xt = data.design_matrix()
     # iterate bytes -> first iteration index; history[j] = (iterate, its grad).
     # Bytes, not values: +0 and -0 differ in bits, and NaN equals itself.
     seen: dict[bytes, int] = {}
@@ -313,7 +292,7 @@ def fit_weighted_m(
             grad = _z_map(data, loss, w, xt, e, abs_e)
         history.append((beta, grad))
         gnorm = np.abs(grad).max()
-        if gnorm <= tol:
+        if gnorm <= TOL:
             break
         curv = w * loss._rho_second(abs_e)
         hess = (xt * curv[:, None]).T @ xt / data.n
@@ -376,7 +355,7 @@ def fit_weighted_m(
     return FitResult(
         beta=beta,
         iterations=iterations,
-        converged=bool(gnorm <= tol),
+        converged=bool(gnorm <= TOL),
         gradient_norm=gnorm,
     )
 

@@ -226,7 +226,10 @@ def squared_bandwidth(h: float) -> float:
     return h2
 
 
-@np.errstate(invalid="ignore")  # inf * 0 = NaN in a numerator raises below
+# inf * 0 = NaN in a numerator raises below.  An inf from d2 /= h2 at a
+# subnormal h2 lies outside every window, and an overflowed squared score is
+# caught by the denominator check below
+@np.errstate(invalid="ignore", over="ignore")
 def _ratio_weights(
     loss: LossFunction, fs: FirstStepFit, h: float, points: np.ndarray
 ) -> np.ndarray:

@@ -492,6 +492,8 @@ class TestFitParsesFlagsFirst:
          "bandwidth 1e-200 is too small: its square underflows"),
         (["--weights", "np", "--cv-grid", "1e-200:1:5"],
          "bandwidth 1e-200 is too small: its square underflows"),
+        (["--weights", "np", "--cv-grid", "0.05:3:1001"],
+         "--cv-grid count must be at most 1000, got 1001"),
     ])
     def test_flag_error_precedes_failing_first_step(self, capsys, tmp_path, flags, message):
         path = tmp_path / "constant.csv"
@@ -536,6 +538,9 @@ class TestFitParsesFlagsFirst:
                                "--epsilon", "-1")
         assert code == 2
         assert json.loads(err)["message"] == "epsilon must be nonnegative"
+
+    def test_grid_at_the_count_bound_is_accepted(self):
+        assert cli.parse_cv_grid("0.05:3:1000").shape == (1000,)
 
 
 class TestCmdSimulate:
@@ -698,6 +703,14 @@ def test_simulate_bandwidth_with_underflowing_square_is_input_error(capsys, tmp_
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "input", "message": "bandwidth 1e-200 is too small: its square underflows"}
+
+
+def test_simulate_at_subnormal_squared_bandwidth_writes_no_warning(tmp_path):
+    # d2 / h^2 overflows to inf for every pair but a point's own
+    proc = run_module("simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
+                      "--seed", "1", "--methods", "np,sp", "--bandwidth", "2e-162",
+                      "--out", str(tmp_path))
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 @pytest.mark.parametrize("flags, category", [

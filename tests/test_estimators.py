@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,7 +187,7 @@ class TestFitWeightedM:
         rng = np.random.default_rng(25)
         d, w = random_instance(rng, n=30, q=2)
         far = np.full(3, 50.0)
-        fit = fit_weighted_m(d, LossFunction.huber(0.1), w, init=far, max_iter=1)
+        fit = m_solve(d, LossFunction.huber(0.1), w, init=far, max_iter=1)
         assert not fit.converged
         assert fit.gradient_norm > 1e-10
 
@@ -280,6 +282,12 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
                          converged=bool(gnorm <= tol), gradient_norm=gnorm)
 
 
+def m_solve(data, loss, weights, *, init=None, max_iter=est.MAX_ITER):
+    """The solver loop from ``init``, or from the start :func:`fit_weighted_m` uses."""
+    beta = fit_wls(data, np.ones(data.n)).beta if init is None else np.asarray(init, dtype=float)
+    return est._m_solve(data, loss, est._check_weights(data, weights), beta, max_iter)
+
+
 def outcome(solver, *args, **kwargs):
     """Everything a fit returns, as bits, or the error it raised."""
     try:
@@ -332,8 +340,10 @@ class TestRepeatStop:
         data, w = oracle_case(r)
         loss = NON_SQUARE["power:1.2"]
         for max_iter in MAX_ITERS:
-            assert outcome(fit_weighted_m, data, loss, w, max_iter=max_iter) == \
+            assert outcome(m_solve, data, loss, w, max_iter=max_iter) == \
                 outcome(reference_fit_weighted_m, data, loss, w, max_iter=max_iter), max_iter
+        assert outcome(fit_weighted_m, data, loss, w) == \
+            outcome(reference_fit_weighted_m, data, loss, w)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -350,7 +360,7 @@ class TestRepeatStop:
         data, w = random_instance(rng, n=n, q=q)
         init = rng.normal(scale=20.0, size=1 + q) if far_init else None
         kwargs = dict(max_iter=max_iter, init=init)
-        assert outcome(fit_weighted_m, data, NON_SQUARE[loss], w, **kwargs) == \
+        assert outcome(m_solve, data, NON_SQUARE[loss], w, **kwargs) == \
             outcome(reference_fit_weighted_m, data, NON_SQUARE[loss], w, **kwargs)
 
     def test_stalled_fit_evaluates_far_less(self, monkeypatch):
@@ -397,10 +407,10 @@ class TestSingularCurvature:
         irls = est._irls_target
         calls = []
         monkeypatch.setattr(est, "_irls_target", lambda *a: calls.append(1) or irls(*a))
-        fit = fit_weighted_m(data, loss, w, init=init, max_iter=1)
+        fit = m_solve(data, loss, w, init=init, max_iter=1)
         assert len(calls) == 1 and fit.iterations == 1
         for max_iter in MAX_ITERS:
-            assert outcome(fit_weighted_m, data, loss, w, init=init, max_iter=max_iter) == \
+            assert outcome(m_solve, data, loss, w, init=init, max_iter=max_iter) == \
                 outcome(reference_fit_weighted_m, data, loss, w, init=init,
                         max_iter=max_iter), max_iter
 
@@ -419,7 +429,7 @@ class TestZeroCovariateAtZeroResidual:
         with np.errstate(invalid="ignore"):
             curv = loss.rho_second(np.abs(data.y - xt @ init))
             assert np.isnan((xt * curv[:, None]).T @ xt).any()
-            fit = fit_weighted_m(data, loss, w, init=init)
+            fit = m_solve(data, loss, w, init=init)
             with pytest.raises(DegenerateCurvatureError):
                 sandwich_covariance(data, loss, w, init)
         assert calls and fit.converged and np.all(np.isfinite(fit.beta))
@@ -444,7 +454,7 @@ class TestSinglePointEvaluation:
         monkeypatch.setattr(est, "_z_map", counted)
         for name in ("rho", "rho_prime", "rho_second"):
             monkeypatch.setattr(LossFunction, name, validating)
-        fit = fit_weighted_m(data, NON_SQUARE[loss], w, init=init)
+        fit = m_solve(data, NON_SQUARE[loss], w, init=init)
         assert fit.converged and fit.iterations >= 3
         assert len(points) >= fit.iterations
         assert len(set(points)) == len(points)
@@ -454,42 +464,13 @@ class TestFitWeightedMInputs:
     def setup_method(self):
         self.data, self.w = random_instance(np.random.default_rng(28), n=30, q=2)
 
-    @pytest.mark.parametrize("init", ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
-                                      [0.0, 0.0, -np.inf]))
-    def test_non_finite_init_rejected(self, init):
-        with pytest.raises(DataError, match="init"):
-            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, init=init)
-
-    @pytest.mark.parametrize("tol", (np.nan, -1e-10, -np.inf))
-    def test_nan_or_negative_tol_rejected(self, tol):
-        with pytest.raises(DataError, match="tol"):
-            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, tol=tol)
-
-    def test_negative_max_iter_rejected(self):
-        with pytest.raises(DataError, match="max_iter"):
-            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, max_iter=-1)
-
-    @pytest.mark.parametrize("tol", (None, "1e-10", True))
-    def test_non_number_tol_rejected(self, tol):
-        with pytest.raises(DataError, match="tol"):
-            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, tol=tol)
-
-    @pytest.mark.parametrize("max_iter", (2.5, np.float64(3), True, False, None, "3"))
-    def test_non_integer_max_iter_rejected(self, max_iter):
-        with pytest.raises(DataError, match="max_iter"):
-            fit_weighted_m(self.data, NON_SQUARE["huber:1.345"], self.w, max_iter=max_iter)
-
-    @pytest.mark.parametrize("max_iter", (np.int64(3), np.uint8(3), np.int32(0)))
-    def test_numpy_integer_max_iter_accepted(self, max_iter):
-        loss = NON_SQUARE["power:1.5"]
-        fit = fit_weighted_m(self.data, loss, self.w, max_iter=max_iter)
-        assert type(fit.iterations) is int
-        assert outcome(fit_weighted_m, self.data, loss, self.w, max_iter=max_iter) == \
-            outcome(fit_weighted_m, self.data, loss, self.w, max_iter=int(max_iter))
+    def test_takes_only_data_loss_and_weights(self):
+        assert list(inspect.signature(fit_weighted_m).parameters) == ["data", "loss", "weights"]
+        assert (est.TOL, est.MAX_ITER) == (1e-10, 100)
 
     def test_zero_max_iter_returns_init(self):
         init = np.array([0.5, -1.0, 2.0])
-        fit = fit_weighted_m(self.data, NON_SQUARE["power:1.5"], self.w, init=init, max_iter=0)
+        fit = m_solve(self.data, NON_SQUARE["power:1.5"], self.w, init=init, max_iter=0)
         assert fit.beta.tobytes() == init.tobytes() and fit.iterations == 0
         gnorm = np.max(np.abs(estimating_equation(self.data, NON_SQUARE["power:1.5"], self.w, init)))
         assert fit.gradient_norm == gnorm

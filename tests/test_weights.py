@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,7 +203,8 @@ class TestNpWeights:
         fs = first_step(d, SQUARE)
         g1, g2 = SQUARE.g1(fs.residuals), SQUARE.g2(fs.residuals)
         expected = g2 / np.maximum(g1, SMOOTHING_FLOOR * g1.max())
-        with np.errstate(over="ignore"):  # d2 / h^2 of the other pairs is inf
+        with warnings.catch_warnings():  # d2 / h^2 of the other pairs is a quiet inf
+            warnings.simplefilter("error")
             w = np_weights(d, SQUARE, fs, h=2e-162)
             np.testing.assert_array_equal(w, np_weights(d, SQUARE, fs, h=1e-150))
         np.testing.assert_allclose(w, expected, rtol=1e-12)

@@ -20,12 +20,12 @@ listed as different.  The exit status is 0 when no record differs and no
 number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
-routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (a
-200-point grid among them); bandwidth extremes; input errors; malformed and
-unusual CSV files; five ``simulate --workers 2`` studies and three invalid
-ones (``--out`` naming a file, a repeated method, an ``--out`` whose
-``errors.csv`` is a directory).  The ``power:1.2``
-fits and study reach M-solver runs that stall at a fixed point or a cycle;
+routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (200- and
+1000-point grids among them, and a refused 1001-point one); bandwidth
+extremes; input errors; malformed and unusual CSV files; five ``simulate
+--workers 2`` studies and three invalid ones (``--out`` naming a file, a
+repeated method, an ``--out`` whose ``errors.csv`` is a directory).  The
+``power:1.2`` fits and study reach M-solver runs that stall at a fixed point or a cycle;
 the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
 with a zero covariate, where the curvature matrix holds inf * 0 = NaN, and
@@ -37,8 +37,8 @@ past the float range (all but the huber one fail).  On ``exact_fit.csv``,
 whose first step fits exactly, six kernel fits meet a zero first-step score
 everywhere.  Five fits probe bandwidths whose square underflows or is
 subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300; one study
-has a bandwidth whose square underflows, and one asks for 64 workers for
-three replications.
+has a bandwidth whose square underflows, one a bandwidth whose square is
+subnormal, and one asks for 64 workers for three replications.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ def command_set() -> list[tuple[str, list[str]]]:
         "grid-huber": q2 + ["--weights", "np", "--loss", "huber:1", "--cv-grid", "0.1:2:5"],
         "grid-disqualified": q2 + ["--weights", "np", "--cv-grid", "1e-6:1e-5:3"],
         "grid-200": q2 + ["--weights", "np", "--cv-grid", "0.05:3:200"],
+        "grid-1000": q2 + ["--weights", "np", "--cv-grid", "0.05:3:1000"],
         "grid-sp-index-q3": q3 + ["--weights", "sp-index", "--cv-grid", "0.05:2:9"],
         "grid-sp-proj-q3": q3 + ["--weights", "sp-proj", "--cv-grid", "0.2:3:7"],
         "power1.2-np": q2 + ["--weights", "np", "--loss", "power:1.2"],
@@ -169,6 +170,7 @@ def command_set() -> list[tuple[str, list[str]]]:
         "err-oracle-short": q2 + ["--weights", "oracle", "--oracle-beta", "1"],
         "err-route": q2 + ["--weights", "magic"],
         "err-grid-inverted": q2 + ["--weights", "np", "--cv-grid", "3:1:5"],
+        "err-grid-count": q2 + ["--weights", "np", "--cv-grid", "0.05:3:1001"],
         "err-missing-file": ["fit", "--data", "data/absent.csv"],
         "zero-residual-power1.2": ["fit", "--data", "data/zero_residual.csv",
                                    "--loss", "power:1.2"],
@@ -240,6 +242,10 @@ def command_set() -> list[tuple[str, list[str]]]:
                  ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "1",
                   "--seed", "1", "--methods", "np", "--bandwidth", "1e-200",
                   "--out", "out/h1e-200"]))
+    cmds.append(("simulate/h2e-162",
+                 ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
+                  "--seed", "1", "--methods", "np,sp", "--bandwidth", "2e-162",
+                  "--out", "out/h2e-162"]))
     cmds.append(("simulate/workers64-reps3",
                  ["simulate", "--n", "100", "--q", "2", "--sigma", "disc", "--reps", "3",
                   "--seed", "7", "--workers", "64", "--out", "out/workers64"]))
