@@ -15,7 +15,8 @@ Each replication draws one sample shared by every requested method, fits,
 and records the squared coefficient error |beta_hat - beta0|^2.  Replication
 r uses its own deterministic substream derived from (seed, r) with a
 counter-based generator, so results do not depend on execution order or on
-the number of workers.
+the number of workers.  ``scipy.special`` is imported at the first draw,
+so importing this module (and ``adaweight fit``) loads numpy only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bandwidth import cv_bandwidth
 from .errors import DataError, NumericalError, StudyError
@@ -83,6 +83,9 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Inverse-CDF standard normals, stable across runs for a fixed stream."""
+    # Imported here so that `import adaweight` and `fit` never load scipy.
+    from scipy.special import ndtri
+
     u = rng.random(shape) + 2.0**-54
     return ndtri(u)
 
@@ -119,6 +122,8 @@ class SimConfig:
             )
         if self.replications < 1:
             raise DataError("replications must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.q < 1:
             raise DataError("q must be >= 1")
         if self.n < self.q + 2:

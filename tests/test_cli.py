@@ -603,6 +603,17 @@ class TestCmdSimulate:
         assert report["error"] == "input"
         assert report["message"].startswith(f"{out_dir}: cannot write results: ")
 
+    def test_negative_seed_is_input_error_before_the_study(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc",
+            "--methods", "first-step", "--reps", "1", "--seed", "-1",
+            "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": "seed must be >= 0, got -1"}
+        assert not out_dir.exists()
+
     def test_repeated_method_is_input_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "simulate", "--n", "60", "--q", "2", "--sigma", "disc",
@@ -764,14 +775,31 @@ def test_huge_bandwidth_gives_constant_weights(capsys, tmp_path):
                                rtol=1e-10, atol=0.0)
 
 
-def run_module(*argv):
-    """``python -m adaweight`` in a child process that imports this checkout."""
+def run_python(*argv):
+    """``python <argv>`` in a child process that imports this checkout."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "adaweight", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    """``python -m adaweight`` in a child process that imports this checkout."""
+    return run_python("-m", "adaweight", *argv)
+
+
+#: Runs ``fit`` once per flag set in argv[2] (JSON) on the CSV argv[1], then
+#: fails if any ``scipy`` module was loaded.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from adaweight.cli import main
+for flags in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["fit", "--data", sys.argv[1], *flags])
+    assert code == 0, (flags, code)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
 
 
 class TestSubprocessEntry:
@@ -795,3 +823,20 @@ class TestSubprocessEntry:
         proc = run_module()
         assert proc.returncode == 1
         assert "usage" in proc.stderr
+
+    def test_fit_loads_no_scipy(self, tmp_path):
+        # A fresh process: other test modules import scipy into this one.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((80, 2))
+        y = 1.0 + x.sum(axis=1) + (0.5 + 2.0 * (x[:, 0] > 0)) * rng.standard_normal(80)
+        path = tmp_path / "d.csv"
+        write_csv(str(path), Dataset(y=y, x=x))
+        runs = [["--weights", route, "--bandwidth", "cv"]
+                for route in ("constant", "parametric", "np", "sp-index", "sp-proj")]
+        runs += [
+            ["--weights", "oracle", "--oracle-beta", "1,1,1", "--bandwidth", "cv"],
+            ["--loss", "huber:1.345"],
+            ["--loss", "power:1.5"],
+        ]
+        proc = run_python("-c", NO_SCIPY_SCRIPT, str(path), json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr

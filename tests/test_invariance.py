@@ -84,3 +84,18 @@ def test_duplicating_every_row_divides_standard_errors_by_sqrt2(route, loss, n, 
     beta_2, se_2 = estimate(twice, LOSSES[loss], route, beta0)
     np.testing.assert_allclose(beta_2, beta, rtol=RTOL, atol=0)
     np.testing.assert_allclose(se_2 * np.sqrt(2.0), se, rtol=RTOL, atol=0)
+
+
+# Square loss only: Huber's threshold is a fixed residual size, so it is not
+# scale-equivariant.  sp-index is left out: its smoothing coordinate is the
+# index b2'x, which scales with y, so a fixed H is a different smoother.
+@pytest.mark.parametrize("route", ("constant", "parametric", "oracle", "np", "sp-proj"))
+@settings(max_examples=10, deadline=None)
+@given(**samples, c=st.floats(1e-3, 1e4))
+def test_scaling_y_scales_estimate(route, n, seed, c):
+    data, beta0 = generate_sample(n, 2, "disc", replication_rng(seed, 0))
+    beta, se = estimate(data, LOSSES["square"], route, beta0)
+    scaled = Dataset(y=c * data.y, x=data.x)
+    beta_c, se_c = estimate(scaled, LOSSES["square"], route, c * beta0)
+    np.testing.assert_allclose(beta_c, c * beta, rtol=RTOL, atol=0)
+    np.testing.assert_allclose(se_c, c * se, rtol=RTOL, atol=0)

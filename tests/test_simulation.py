@@ -14,6 +14,7 @@ from adaweight import (
     true_beta,
 )
 import adaweight.simulation as simulation
+from adaweight.simulation import standard_normal
 
 
 class TestGenerateSample:
@@ -55,6 +56,23 @@ class TestGenerateSample:
         d3, _ = generate_sample(50, 2, "smooth", replication_rng(9, 4))
         assert not np.array_equal(d1.y, d3.y)
 
+    def test_draws_are_pinned(self):
+        # Values of the inverse-CDF draws as first recorded; a change of the
+        # normal quantile function or of the stream would move them.
+        np.testing.assert_allclose(
+            standard_normal(replication_rng(20260810, 0), 4),
+            [0.2646930180986676, 1.7070383034936012, 0.8119100738359842,
+             0.9281418060527817],
+            rtol=1e-15, atol=0,
+        )
+        data, _ = generate_sample(5, 2, "smooth", replication_rng(1, 0))
+        np.testing.assert_allclose(
+            data.y,
+            [0.6269665347144641, 1.854241195374819, 0.22293905354238464,
+             0.8555841684647907, 0.8001250887108947],
+            rtol=1e-15, atol=0,
+        )
+
     def test_unknown_sigma_rejected(self):
         with pytest.raises(DataError):
             sigma_values("banana", np.ones((2, 2)), np.ones(2))
@@ -79,6 +97,10 @@ class TestSimConfig:
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=1e200)
         with pytest.raises(DataError, match="1e-200 is too small"):
             SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=1, bandwidth=1e-200)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            SimConfig(n=50, q=2, sigma="smooth", replications=1, seed=-1)
 
     def test_repeated_method_rejected(self):
         with pytest.raises(DataError, match=r"\['np', 'sp'\] are repeated"):

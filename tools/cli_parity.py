@@ -23,9 +23,10 @@ The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (200- and
 1000-point grids among them, and a refused 1001-point one); bandwidth
 extremes; input errors; malformed and unusual CSV files; five ``simulate
---workers 2`` studies and three invalid ones (``--out`` naming a file, a
-repeated method, an ``--out`` whose ``errors.csv`` is a directory).  The
-``power:1.2`` fits and study reach M-solver runs that stall at a fixed point or a cycle;
+--workers 2`` studies and four invalid ones (``--out`` naming a file, a
+repeated method, an ``--out`` whose ``errors.csv`` is a directory, a
+negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
+runs that stall at a fixed point or a cycle;
 the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
 with a zero covariate, where the curvature matrix holds inf * 0 = NaN, and
@@ -238,6 +239,9 @@ def command_set() -> list[tuple[str, list[str]]]:
                  small + ["--methods", "np,np", "--out", "out/repeated-methods"]))
     cmds.append(("simulate/err-errors-csv-is-a-directory",
                  small + ["--methods", "first-step", "--out", UNWRITABLE_OUT]))
+    cmds.append(("simulate/err-seed-negative",
+                 ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
+                  "--seed", "-1", "--methods", "first-step", "--out", "out/seed-negative"]))
     cmds.append(("simulate/err-h1e-200",
                  ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "1",
                   "--seed", "1", "--methods", "np", "--bandwidth", "1e-200",
