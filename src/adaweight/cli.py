@@ -169,7 +169,7 @@ def _run_fit(args) -> str:
     data = read_csv(args.data)
     if oracle_beta is not None and oracle_beta.shape != (1 + data.q,):
         raise DataError(f"--oracle-beta must have {1 + data.q} entries, got {oracle_beta.size}")
-    fs = first_step(data, loss)
+    fs = None if route in ("constant", "oracle") else first_step(data, loss)
     h_used = cv_diag = eps_used = None
     h_selection = "none"
     clamp_count = 0

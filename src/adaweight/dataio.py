@@ -55,6 +55,8 @@ def _parse_header(path: str, records) -> tuple[list[str], int]:
     header = [name.strip() for name in row]
     if "y" not in header:
         raise DataError(f"{path}: required column 'y' is missing from the header")
+    if header.count("y") > 1:
+        raise DataError(f"{path}: column 'y' appears {header.count('y')} times in the header")
     if len(header) < 2:
         raise DataError(f"{path}: no covariate columns besides 'y'")
     return header, header.index("y")

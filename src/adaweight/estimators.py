@@ -122,10 +122,14 @@ def _rcond(mat: np.ndarray) -> float:
     """Reciprocal 2-norm condition number of ``mat``, 0 when it is singular.
 
     The arithmetic of ``1 / np.linalg.cond(mat)`` without its wrapper: the
-    same singular values and the same two divisions.  A matrix whose SVD
-    fails (one holding a NaN, e.g. inf * 0 in a power-loss curvature at a
-    zero residual and a zero covariate) counts as singular and gives 0.
+    same singular values and the same two divisions.  A matrix with a
+    non-finite entry (an infinite power-loss curvature at a zero residual,
+    or inf * 0 = NaN where that row's covariate is 0) counts as singular
+    and gives 0 before the SVD, whose LAPACK routine would print an error
+    on stdout; so does a matrix whose SVD fails.
     """
+    if not np.isfinite(mat).all():
+        return 0.0
     try:
         s = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError:

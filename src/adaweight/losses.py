@@ -60,11 +60,13 @@ class LossFunction:
         if self.family not in FAMILIES:
             raise DataError(f"unknown loss family {self.family!r}")
         if self.family == "huber":
-            if self.cutoff is None or not self.cutoff > 0:
+            if self.cutoff is None or not 0 < self.cutoff < np.inf:
                 raise DataError("huber cutoff must be a positive real")
         if self.family == "power":
             if self.exponent is None or not self.exponent > 1:
                 raise DataError("power exponent must be > 1")
+            if self.exponent == np.inf:
+                raise DataError("power exponent must be finite")
 
     @classmethod
     def square(cls) -> "LossFunction":
@@ -134,8 +136,9 @@ class LossFunction:
             return p * (p - 1.0) * t ** (p - 2.0)
 
     def __str__(self) -> str:
-        if self.family == "huber":
-            return f"huber:{self.cutoff:g}"
-        if self.family == "power":
-            return f"power:{self.exponent:g}"
-        return "square"
+        """The spec ``cli.parse_loss`` reads back to this loss."""
+        if self.family == "square":
+            return "square"
+        value = self.cutoff if self.family == "huber" else self.exponent
+        text = f"{value:g}"  # the short form, where it parses back to value
+        return f"{self.family}:{text if float(text) == value else repr(value)}"

@@ -166,15 +166,25 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
     """Run every requested method on one shared sample.
 
     Per-method numerical failures are recorded (status = error category),
-    never raised, so one bad replication cannot abort a study.
+    never raised, so one bad replication cannot abort a study.  The first
+    step is fitted once, and only when a method other than ``oracle`` is
+    requested; if it fails, each of those methods records its category and
+    ``oracle``, which does not read it, runs as usual.
     """
     rng = replication_rng(config.seed, replication)
     data, beta0 = generate_sample(config.n, config.q, config.sigma, rng)
-    fs = first_step(data, config.loss)
+    fs = fs_error = None
+    if any(method != "oracle" for method in config.methods):
+        try:
+            fs = first_step(data, config.loss)
+        except NumericalError as exc:
+            fs_error = exc
 
     outcomes: dict[str, ReplicationOutcome] = {}
     for method in config.methods:
         try:
+            if fs_error is not None and method != "oracle":
+                raise fs_error
             if method == "first-step":
                 w = None
             elif method == "parametric":

@@ -72,6 +72,20 @@ class TestReadCsv:
         assert np.array_equal(d.y, [10.0, 11.0, 12.0, 13.0])
         assert np.array_equal(d.x[:, 0], [1.0, 3.0, 5.0, 7.0])
 
+    @pytest.mark.parametrize("body", [
+        "1,2,5\n4,1,3\n2,7,1\n8,3,6\n5,5,2\n",  # the C reader's body
+        '"1",2,5\n4,1,3\n2,7,1\n8,3,6\n5,5,2\n',  # a quoted cell: the per-cell path
+    ])
+    def test_repeated_y_is_input_error(self, capsys, tmp_path, body):
+        p = tmp_path / "twice.csv"
+        p.write_text("y,x1,y\n" + body)
+        message = f"{p}: column 'y' appears 2 times in the header"
+        code, out, err = run_cli(capsys, "fit", "--data", str(p))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+        with pytest.raises(DataError, match="appears 2 times"):
+            _read_cells(str(p))
+
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(91)
         d = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 3)))
@@ -478,6 +492,32 @@ class TestCmdFit:
         assert "infinite curvature at an exact zero first-step residual" in report["message"]
 
 
+@pytest.mark.parametrize("route, calls", [
+    (["--weights", "constant"], 0),
+    (["--weights", "oracle", "--oracle-beta", "1,1,1"], 0),
+    (["--weights", "parametric"], 1),
+    (["--weights", "np", "--bandwidth", "1"], 1),
+    (["--weights", "sp-index", "--bandwidth", "1"], 1),
+    (["--weights", "sp-proj", "--bandwidth", "1"], 1),
+])
+@pytest.mark.parametrize("loss", ["square", "power:1.5"])
+def test_first_step_runs_only_where_the_route_reads_it(
+    capsys, monkeypatch, tmp_path, route, calls, loss
+):
+    rng = np.random.default_rng(95)
+    x = rng.normal(size=(60, 2))
+    y = 1.0 + x.sum(axis=1) + (0.5 + np.abs(x[:, 0])) * rng.normal(size=60)
+    path = str(tmp_path / "d.csv")
+    write_csv(path, Dataset(y=y, x=x))
+    argv = ["fit", "--data", path, "--loss", loss, *route]
+    code, expected, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    seen = []
+    monkeypatch.setattr(cli, "first_step", lambda *a: seen.append(a) or first_step(*a))
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    assert len(seen) == calls
+
+
 class TestFitParsesFlagsFirst:
     @pytest.mark.parametrize("flags, message", [
         (["--weights", "np", "--bandwidth", "abc"], "bandwidth must be a number, got 'abc'"),
@@ -623,6 +663,22 @@ class TestCmdSimulate:
         assert (code, out) == (2, "")
         assert "['np'] are repeated" in json.loads(err)["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_failed_first_step_fails_only_its_methods(self, capsys, tmp_path):
+        # replication 148's first step fails; that is 1 failure in 149, below
+        # MAX_FAILURE_FRACTION, so the study completes (oracle fails 3 times
+        # in its own final fit)
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "6", "--q", "2", "--sigma", "disc",
+            "--loss", "power:1.2", "--seed", "1", "--reps", "149",
+            "--methods", "first-step,oracle", "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        methods = json.loads(out)["methods"]
+        assert (methods["first-step"]["failed"], methods["oracle"]["failed"]) == (1, 3)
+        rows = list(csv.reader((tmp_path / "errors.csv").open()))
+        assert rows[-2] == ["148", "first-step", "", "degenerate-design"]
+        assert rows[-1][:2] == ["148", "oracle"] and rows[-1][3] == "ok"
 
     def test_errors_csv_schema(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -823,6 +879,16 @@ class TestSubprocessEntry:
         proc = run_module()
         assert proc.returncode == 1
         assert "usage" in proc.stderr
+
+    def test_infinite_curvature_prints_nothing_on_stdout(self, tmp_path):
+        # A fresh process: LAPACK writes its argument errors to the C stdout.
+        # The power fit reaches an exact zero residual on these five rows,
+        # so its curvature matrix holds inf.
+        path = tmp_path / "five.csv"
+        write_csv(str(path), generate_sample(5, 3, "smooth", replication_rng(1, 5))[0])
+        proc = run_module("fit", "--data", str(path), "--loss", "power:1.2")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert np.all(np.isfinite(json.loads(proc.stdout)["beta"]))
 
     def test_fit_loads_no_scipy(self, tmp_path):
         # A fresh process: other test modules import scipy into this one.

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adaweight import DataError, LossFunction
+from adaweight.cli import parse_loss
 
 
 class TestRho:
@@ -114,7 +116,25 @@ class TestValidation:
         t = np.linspace(0, 4, 50)
         assert np.allclose(LossFunction.power(2.0).rho(t), LossFunction.square().rho(t))
 
+    def test_non_finite_parameter_rejected(self):
+        for make in (lambda: LossFunction.huber(np.inf), lambda: LossFunction.huber(np.nan),
+                     lambda: LossFunction.power(np.inf), lambda: LossFunction.power(np.nan)):
+            with pytest.raises(DataError):
+                make()
+
     def test_string_forms(self):
         assert str(LossFunction.square()) == "square"
         assert str(LossFunction.huber(1.5)) == "huber:1.5"
         assert str(LossFunction.power(3.0)) == "power:3"
+        assert str(LossFunction.huber(1.345)) == "huber:1.345"
+        assert str(LossFunction.huber(1.3456789)) == "huber:1.3456789"
+
+    @given(cutoff=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_huber_name_parses_back(self, cutoff):
+        loss = LossFunction.huber(cutoff)
+        assert parse_loss(str(loss)) == loss
+
+    @given(exponent=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
+    def test_power_name_parses_back(self, exponent):
+        loss = LossFunction.power(exponent)
+        assert parse_loss(str(loss)) == loss

@@ -3,6 +3,7 @@ import pytest
 
 from adaweight import (
     DataError,
+    DegenerateDesignError,
     SimConfig,
     StudyError,
     generate_sample,
@@ -261,3 +262,53 @@ class TestRunStudy:
         result = simulation.run_study(cfg)
         assert result.failures("first-step") == 1
         assert len(result.errors("first-step")) == 9
+
+
+class TestFailedFirstStep:
+    """A first step that fails in chosen replications, through ``simulation.first_step``."""
+
+    cfg = SimConfig(n=80, q=2, sigma="disc", replications=5, seed=3, bandwidth=0.8)
+
+    def fail_first_step(self, monkeypatch, replications):
+        cfg = self.cfg
+        bad = {generate_sample(cfg.n, cfg.q, cfg.sigma, replication_rng(cfg.seed, r))[0].y[0]
+               for r in replications}
+        real = simulation.first_step
+        calls = []
+
+        def first_step(data, loss):
+            calls.append(data.y[0])
+            if data.y[0] in bad:
+                raise DegenerateDesignError("first step failed")
+            return real(data, loss)
+
+        monkeypatch.setattr(simulation, "first_step", first_step)
+        return calls
+
+    def test_only_methods_that_read_it_fail(self, monkeypatch):
+        clean = run_replication(self.cfg, 2)
+        calls = self.fail_first_step(monkeypatch, [2])
+        out = run_replication(self.cfg, 2)
+        assert len(calls) == 1
+        for method in ("first-step", "parametric", "np", "sp"):
+            assert out[method].status == "degenerate-design"
+            assert out[method].beta is None
+        assert out["oracle"].ok
+        assert out["oracle"].sq_error == clean["oracle"].sq_error
+
+    def test_oracle_alone_fits_no_first_step(self, monkeypatch):
+        calls = self.fail_first_step(monkeypatch, [])
+        cfg = SimConfig(n=80, q=2, sigma="disc", replications=1, seed=3, methods=("oracle",))
+        assert run_replication(cfg, 0)["oracle"].ok
+        assert calls == []
+
+    def test_study_goes_on_below_the_failure_bound(self, monkeypatch):
+        self.fail_first_step(monkeypatch, [4])  # 1 of 5 is not above 0.2
+        result = run_study(self.cfg)
+        failures = {method: result.failures(method) for method in self.cfg.methods}
+        assert failures == {"first-step": 1, "parametric": 1, "np": 1, "sp": 1, "oracle": 0}
+
+    def test_study_error_above_the_failure_bound(self, monkeypatch):
+        self.fail_first_step(monkeypatch, [0, 3])
+        with pytest.raises(StudyError, match="first-step"):
+            run_study(self.cfg)

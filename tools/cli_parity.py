@@ -22,15 +22,16 @@ number moved by more than ``RTOL`` (rel 1e-12), else 1.
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (200- and
 1000-point grids among them, and a refused 1001-point one); bandwidth
-extremes; input errors; malformed and unusual CSV files; five ``simulate
---workers 2`` studies and four invalid ones (``--out`` naming a file, a
-repeated method, an ``--out`` whose ``errors.csv`` is a directory, a
-negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
+extremes; input errors; malformed and unusual CSV files (a repeated ``y``
+column among them); five ``simulate --workers 2`` studies and four invalid
+ones (``--out`` naming a file, a repeated method, an ``--out`` whose
+``errors.csv`` is a directory, a negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
 runs that stall at a fixed point or a cycle;
 the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
 with a zero covariate, where the curvature matrix holds inf * 0 = NaN, and
-three ``power:1.2`` np fits there put g2 = inf into the kernel sums.  On
+three ``power:1.2`` np fits there put g2 = inf into the kernel sums; a
+``power:1.2`` fit on ``five_rows_q3.csv`` meets an infinite curvature too.  On
 ``constant.csv``, whose covariate is constant so the first step fails, five
 fits carry a malformed flag that only their route uses.  On
 ``overflow.csv``, whose residuals are about 1e160, seven fits square them
@@ -39,7 +40,9 @@ whose first step fits exactly, six kernel fits meet a zero first-step score
 everywhere.  Five fits probe bandwidths whose square underflows or is
 subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300; one study
 has a bandwidth whose square underflows, one a bandwidth whose square is
-subnormal, and one asks for 64 workers for three replications.
+subnormal, and one asks for 64 workers for three replications.  In the
+n = 6 ``power:1.2`` study the first step of replication 148 fails, and one
+study names the loss ``huber:1.3456789``, which ``summary.json`` repeats.
 """
 
 from __future__ import annotations
@@ -68,6 +71,17 @@ OVERFLOW_CSV = "y,x1\n1e160,0\n-1e160,1\n2e160,2\n0,3\n1e159,4\n-3e160,5\n"
 #: Five rows with y = 0: the first step fits them exactly, so every
 #: first-step score is 0.
 EXACT_FIT_CSV = "y,x1\n0,0\n0,1\n0,2\n0,3\n0,5\n"
+#: ``generate_sample(5, 3, "smooth", replication_rng(1, 5))``: a power fit
+#: with 1 < p < 2 meets an exact zero residual, so its curvature matrix
+#: holds inf.
+FIVE_ROWS_Q3_CSV = (
+    "y,x1,x2,x3\n"
+    "0.068608051699951544,-1.6568357113998085,2.523601940427501,-0.21034678856819894\n"
+    "0.78932044530351764,0.72438917316122664,-1.7402419637032047,1.4964055726870322\n"
+    "-0.20024582053903434,0.058831209922365325,-0.52372190825737719,-0.21138698018532481\n"
+    "-2.3490535770660754,-0.11869943330544534,-0.18246827562308768,-1.4568796644550905\n"
+    "-1.2373749406130599,-0.68768883030087391,-0.99556389335240247,-0.31864818755352503\n"
+)
 #: Output directory of a study whose ``errors.csv`` is a directory.
 UNWRITABLE_OUT = "out/unwritable"
 RTOL = 1e-12  # largest relative move of a number that passes
@@ -112,6 +126,7 @@ def ingest_cases() -> dict[str, bytes | None]:
         "folder.csv": None,
         "long_name.csv": b"y," + b"a" * 140000 + b"\n1,2\n3,4\n5,6\n",
         "long_cell.csv": b'y,x1\n1,2\n3,"' + b"1" * 140000 + b'"\n5,6\n7,8\n',
+        "repeated_y.csv": b"y,x1,y\n1,2,5\n4,1,3\n2,7,1\n8,3,6\n5,5,2\n",
     }
 
 
@@ -178,6 +193,8 @@ def command_set() -> list[tuple[str, list[str]]]:
         "zero-residual-power1.5": ["fit", "--data", "data/zero_residual.csv",
                                    "--loss", "power:1.5"],
         "err-epsilon-np": q2 + ["--weights", "np", "--epsilon", "abc"],
+        "five-rows-q3-power1.2": ["fit", "--data", "data/five_rows_q3.csv",
+                                  "--loss", "power:1.2"],
     }
     for h in ("0.5", "3", "100"):
         more[f"zero-residual-power1.2-np-h{h}"] = [
@@ -250,6 +267,13 @@ def command_set() -> list[tuple[str, list[str]]]:
                  ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
                   "--seed", "1", "--methods", "np,sp", "--bandwidth", "2e-162",
                   "--out", "out/h2e-162"]))
+    cmds.append(("simulate/n6-first-step-fails",
+                 ["simulate", "--n", "6", "--q", "2", "--sigma", "disc", "--reps", "149",
+                  "--seed", "1", "--methods", "first-step,oracle", "--loss", "power:1.2",
+                  "--out", "out/n6"]))
+    cmds.append(("simulate/huber1.3456789",
+                 small + ["--methods", "first-step", "--loss", "huber:1.3456789",
+                          "--out", "out/huber1.3456789"]))
     cmds.append(("simulate/workers64-reps3",
                  ["simulate", "--n", "100", "--q", "2", "--sigma", "disc", "--reps", "3",
                   "--seed", "7", "--workers", "64", "--out", "out/workers64"]))
@@ -264,7 +288,8 @@ def write_inputs(root: str) -> None:
             handle.write(fit_csv_text(q, n, seed=q))
     os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
     for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV),
-                       ("overflow", OVERFLOW_CSV), ("exact_fit", EXACT_FIT_CSV)):
+                       ("overflow", OVERFLOW_CSV), ("exact_fit", EXACT_FIT_CSV),
+                       ("five_rows_q3", FIVE_ROWS_Q3_CSV)):
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(text)
     for name, content in ingest_cases().items():
