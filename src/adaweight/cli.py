@@ -192,7 +192,7 @@ def _run_fit(args) -> str:
             w = sp_projected_weights(data, loss, fs, h_used, eps_used)
     else:  # parametric plugs in the first step, oracle the given coefficients
         beta = fs.beta if route == "parametric" else oracle_beta
-        w, clamp_count = clamp_weights(evaluate_weight_map(family, data.x, beta))
+        w, clamp_count = clamp_weights(evaluate_weight_map(lambda x: family(x, beta), data.x))
 
     fit = weighted_fit(data, loss, w)
     cov = sandwich_covariance(data, loss, w, fit.beta)

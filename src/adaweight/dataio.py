@@ -4,11 +4,12 @@ Fit CSVs are UTF-8 (a leading byte-order mark is ignored), so ingest does
 not depend on the locale.  The header goes through :mod:`csv`; the numeric
 body is parsed in C by :func:`numpy.loadtxt`.  A per-cell loop over
 :func:`csv.reader` rows and :func:`float` remains as the error path: it
-runs only when the C reader rejects the body or returns the wrong number
-of columns, and it either raises the precise :class:`DataError` or accepts
-the cells that :func:`float` takes and ``loadtxt`` does not (quoted
-numbers, ``1_0``, non-ASCII digits).  Both paths accept the same files and
-give the same values.
+runs only when the C reader rejects the body, returns the wrong number of
+columns or holds a non-finite value, and it either raises the precise
+:class:`DataError` (a non-numeric or non-finite cell, with its row and
+column) or accepts the cells that :func:`float` takes and ``loadtxt`` does
+not (quoted numbers, ``1_0``, non-ASCII digits).  Both paths accept the
+same files and give the same values.
 
 Floats serialize with 17 significant digits everywhere, so values survive a
 round trip exactly and repeated runs produce byte-identical files.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 
@@ -86,12 +88,14 @@ def _read_cells(path: str) -> Dataset:
             parsed = []
             for c, cell in enumerate(row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell.strip()!r} at row {r}, "
-                        f"column {header[c]!r}"
-                    ) from None
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise DataError(f"{path}: {kind} value {cell.strip()!r} at row {r}, "
+                                    f"column {header[c]!r}")
+                parsed.append(value)
             y_vals.append(parsed[y_col])
             x_rows.append([parsed[c] for c in range(len(header)) if c != y_col])
     return _dataset(path, np.array(y_vals), np.array(x_rows), len(header) - 1)
@@ -106,11 +110,11 @@ def read_csv(path: str) -> Dataset:
     always uses the dot separator, independent of locale.
 
     The body is parsed in C by :func:`numpy.loadtxt`, which holds no Python
-    object per cell.  Only when it rejects the body or returns the wrong
-    number of columns does the per-cell path (:func:`_read_cells`) read the
-    file again, to raise the error with its row and column or to accept the
-    cells only :func:`float` parses.  A missing, unreadable or non-UTF-8 file
-    raises :class:`DataError`.
+    object per cell.  Only when it rejects the body, returns the wrong
+    number of columns or holds a non-finite value does the per-cell path
+    (:func:`_read_cells`) read the file again, to raise the error with its
+    row and column or to accept the cells only :func:`float` parses.  A
+    missing, unreadable or non-UTF-8 file raises :class:`DataError`.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
@@ -124,7 +128,7 @@ def read_csv(path: str) -> Dataset:
                     table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
             except ValueError:  # UnicodeDecodeError too: the per-cell path meets it again
                 table = None
-        if table is None or table.shape[1] != len(header):
+        if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
             return _read_cells(path)
     except UnicodeDecodeError:
         raise DataError(f"{path}: file is not valid UTF-8 text") from None
@@ -137,14 +141,11 @@ def read_csv(path: str) -> Dataset:
 
 
 def write_csv(path: str, data: Dataset) -> None:
-    """Write a dataset with header y,x1,...,xq and 17-digit values."""
+    """Write a dataset with header y,x1,...,xq, CRLF rows and 17-digit values."""
+    header = ",".join(["y"] + [f"x{j + 1}" for j in range(data.q)])
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(data.q)])
-        for i in range(data.n):
-            writer.writerow(
-                [_format_float(data.y[i])] + [_format_float(v) for v in data.x[i]]
-            )
+        np.savetxt(handle, np.column_stack([data.y, data.x]), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=header, comments="")
 
 
 def to_json_text(obj) -> str:

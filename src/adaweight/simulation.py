@@ -173,6 +173,7 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
     """
     rng = replication_rng(config.seed, replication)
     data, beta0 = generate_sample(config.n, config.q, config.sigma, rng)
+    family = inverse_variance_map(config.sigma)
     fs = fs_error = None
     if any(method != "oracle" for method in config.methods):
         try:
@@ -188,7 +189,7 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
             if method == "first-step":
                 w = None
             elif method == "parametric":
-                w = parametric_weights(inverse_variance_map(config.sigma), fs, data)
+                w = parametric_weights(family, fs, data)
             elif method == "np":
                 h = _bandwidth_for(data, fs, "np", config)
                 w = np_weights(data, config.loss, fs, h)
@@ -197,7 +198,6 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
                 h = _bandwidth_for(data, fs, "sp-proj", config, eps=eps)
                 w = sp_projected_weights(data, config.loss, fs, h, eps)
             else:  # oracle
-                family = inverse_variance_map(config.sigma)
                 w = oracle_weights(lambda x: family(x, beta0), data)
             beta = fs.beta if w is None else weighted_fit(data, config.loss, w).beta
         except NumericalError as exc:
@@ -283,7 +283,7 @@ def run_study(config: SimConfig, workers: int = 1) -> StudyResult:
         raise DataError("workers must be >= 1")
     workers = min(workers, config.replications, os.cpu_count() or 1)
     indices = range(config.replications)
-    if workers == 1:
+    if workers == 1:  # a fresh pool thread made single-worker studies measurably slower
         outcomes = [run_replication(config, r) for r in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -147,8 +147,8 @@ def smoothing_coordinates(
 
     Returns an ``(n, d)`` array: the raw covariates for ``"np"``, the scalar
     index for ``"sp-index"``, or ``A x`` with ``A = P + eps*I`` for
-    ``"sp-proj"`` (``eps`` computed by :func:`epsilon_perturbation` when not
-    given).
+    ``"sp-proj"``, whose caller chooses ``eps`` (the default is
+    :func:`epsilon_perturbation`).
     """
     if mode not in MODES:
         raise DataError(f"unknown smoothing mode {mode!r}")
@@ -159,10 +159,8 @@ def smoothing_coordinates(
         if not np.any(slope != 0.0):
             raise IndexDegenerateError("first-step slope vector is zero")
         return (data.x @ slope).reshape(-1, 1)
-    if eps is None:
-        eps = epsilon_perturbation(data, fs)
-    if eps < 0:
-        raise DataError("eps must be nonnegative")
+    if eps is None or eps < 0:
+        raise DataError(f"sp-proj smoothing needs a nonnegative eps, got {eps}")
     a_mat = projector(fs.slope) + eps * np.eye(data.q)
     return data.x @ a_mat
 
@@ -281,16 +279,13 @@ def sp_projected_weights(
     return _ratio_weights(loss, fs, h, smoothing_coordinates(data, fs, "sp-proj", eps))
 
 
-def evaluate_weight_map(family, x: np.ndarray, beta=None) -> np.ndarray:
-    """Evaluate a weight map row-wise and validate the values.
+def evaluate_weight_map(w0, x: np.ndarray) -> np.ndarray:
+    """Evaluate a weight map ``w0(x)`` row-wise and validate the values.
 
-    ``family`` is called as ``family(x, beta)`` when ``beta`` is given and
-    ``family(x)`` otherwise; it must return one positive finite value per
-    row.
+    ``w0`` must return one positive finite value per row of ``x``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = family(x) if beta is None else family(x, beta)
-    raw = np.asarray(raw, dtype=float)
+        raw = np.asarray(w0(x), dtype=float)
     if raw.shape != (x.shape[0],):
         raise DataError(
             f"weight map returned shape {raw.shape}, expected ({x.shape[0]},)"
@@ -314,12 +309,10 @@ def clamp_weights(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def parametric_weights(family, fs: FirstStepFit, data: Dataset) -> np.ndarray:
-    """Plug the first-step coefficients into a parametric weight family."""
-    raw = evaluate_weight_map(family, data.x, fs.beta)
-    return clamp_weights(raw)[0]
+    """Plug the first-step coefficients into a weight family ``family(x, beta)``."""
+    return oracle_weights(lambda x: family(x, fs.beta), data)
 
 
 def oracle_weights(w0, data: Dataset) -> np.ndarray:
-    """Evaluate a known weight map, with the same clamping as parametric."""
-    raw = evaluate_weight_map(w0, data.x)
-    return clamp_weights(raw)[0]
+    """Evaluate a known weight map ``w0(x)`` and clamp it (:func:`clamp_weights`)."""
+    return clamp_weights(evaluate_weight_map(w0, data.x))[0]

@@ -13,6 +13,7 @@ from adaweight import (
     LossFunction,
     cv_bandwidth,
     default_grid,
+    epsilon_perturbation,
     first_step,
     generate_sample,
     np_weights,
@@ -251,8 +252,17 @@ class TestCvBandwidth:
         rng = np.random.default_rng(79)
         d, fs = random_fit(rng, n=80, q=3)
         r_idx = cv_bandwidth(d, fs, "sp-index")
-        r_proj = cv_bandwidth(d, fs, "sp-proj")
+        r_proj = cv_bandwidth(d, fs, "sp-proj", eps=epsilon_perturbation(d, fs))
         assert r_idx.h_cv > 0 and r_proj.h_cv > 0
+
+    @pytest.mark.parametrize("eps", [None, -0.1])
+    def test_sp_proj_requires_caller_eps(self, eps):
+        rng = np.random.default_rng(79)
+        d, fs = random_fit(rng, n=80, q=3)
+        with pytest.raises(DataError, match="nonnegative eps"):
+            smoothing_coordinates(d, fs, "sp-proj", eps)
+        with pytest.raises(DataError, match="nonnegative eps"):
+            cv_bandwidth(d, fs, "sp-proj", eps=eps)
 
     def test_result_type(self):
         rng = np.random.default_rng(80)

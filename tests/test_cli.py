@@ -95,6 +95,36 @@ class TestReadCsv:
         assert np.array_equal(back.y, d.y)
         assert np.array_equal(back.x, d.x)
 
+    def test_write_csv_bytes(self, tmp_path):
+        # CRLF rows, 17 significant digits, -0, a subnormal and the largest float
+        d = Dataset(y=[1.0 / 3.0, -0.0, 5e-324],
+                    x=[[1.7976931348623157e308, 0.1], [2.0, -1e-300], [1e22, 0.0]])
+        path = tmp_path / "pinned.csv"
+        write_csv(str(path), d)
+        assert path.read_bytes() == (
+            b"y,x1,x2\r\n"
+            b"0.33333333333333331,1.7976931348623157e+308,0.10000000000000001\r\n"
+            b"-0,2,-1e-300\r\n"
+            b"4.9406564584124654e-324,1e+22,0\r\n"
+        )
+
+    @pytest.mark.parametrize("body, cell, row, column", [
+        ("1,2\n2,inf\n3,4\n5,1\n", "inf", 3, "x1"),  # the C reader's body
+        ("1,2\n2,1e999\n3,4\n5,1\n", "1e999", 3, "x1"),  # overflows to inf
+        ('1,2\n\n"nan",4\n3,4\n5,1\n', "nan", 4, "y"),  # a quoted cell: the per-cell path
+    ])
+    def test_non_finite_cell_reports_position(self, capsys, tmp_path, body, cell, row, column):
+        p = tmp_path / "inf.csv"
+        p.write_text("y,x1\n" + body)
+        message = f"{p}: non-finite value {cell!r} at row {row}, column {column!r}"
+        for reader in (read_csv, _read_cells):
+            with pytest.raises(DataError) as exc:
+                reader(str(p))
+            assert str(exc.value) == message
+        code, out, err = run_cli(capsys, "fit", "--data", str(p))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+
     def test_missing_y_column(self, tmp_path):
         p = tmp_path / "noy.csv"
         p.write_text("a,b\n1,2\n3,4\n5,6\n")

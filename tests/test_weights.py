@@ -482,7 +482,7 @@ class TestParametricOracle:
         x[0] = 1e-12 * slope + 0.5 * ortho  # index essentially zero
         d2 = Dataset(y=d.y, x=x)
         family = lambda xx, beta: 1.0 / sigma_values("smooth", xx, beta[1:]) ** 2
-        raw = evaluate_weight_map(family, d2.x, fs.beta)
+        raw = evaluate_weight_map(lambda xx: family(xx, fs.beta), d2.x)
         clamped, count = clamp_weights(raw)
         assert count >= 1
         assert clamped[0] == pytest.approx(1e6 * np.median(raw), rel=1e-12)

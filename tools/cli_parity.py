@@ -23,9 +23,11 @@ The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (200- and
 1000-point grids among them, and a refused 1001-point one); bandwidth
 extremes; input errors; malformed and unusual CSV files (a repeated ``y``
-column among them); five ``simulate --workers 2`` studies and four invalid
-ones (``--out`` naming a file, a repeated method, an ``--out`` whose
-``errors.csv`` is a directory, a negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
+column, and non-finite cells: ``nan``, ``inf``, ``1e999``, which overflows,
+and a quoted ``"nan"`` below a blank line, among them); five ``simulate
+--workers 2`` studies and four invalid ones (``--out`` naming a file, a
+repeated method, an ``--out`` whose ``errors.csv`` is a directory, a
+negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
 runs that stall at a fixed point or a cycle;
 the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
@@ -112,6 +114,9 @@ def ingest_cases() -> dict[str, bytes | None]:
         "no_covariates.csv": b"y\n1\n2\n3\n",
         "too_few_rows.csv": b"y,x1\n1,2\n3,4\n",
         "nan.csv": b"y,x1\n1,2\n3,nan\n5,6\n7,8\n",
+        "inf.csv": b"y,x1\n1,2\n2,inf\n3,4\n5,1\n",
+        "overflow_cell.csv": b"y,x1\n1,2\n2,1e999\n3,4\n5,1\n",
+        "quoted_nan.csv": b'y,x1\n1,2\n\n"nan",4\n3,4\n5,1\n',
         "quoted.csv": ('y,x1\n"1","0.5"\n' + ok).encode(),
         "underscore.csv": ("y,x1\n1_0,2\n" + ok).encode(),
         "arabic_digits.csv": ("y,x1\n\u0661,2\n" + ok).encode(),
