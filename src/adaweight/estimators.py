@@ -139,11 +139,16 @@ def _rcond(mat: np.ndarray) -> float:
     return 1.0 / cond if math.isfinite(cond) else 0.0
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve a small symmetric system, failing loudly on near-singularity."""
+def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str,
+               error: type[Exception] = DegenerateDesignError) -> np.ndarray:
+    """Solve a small symmetric system; raise ``error`` when it is near-singular.
+
+    The one checked solve of the estimator layer.  The Newton step solves
+    unchecked: there a singular Hessian selects the IRLS step, not an error.
+    """
     rcond = _rcond(mat)
     if rcond < RCOND_MIN:
-        raise DegenerateDesignError(
+        raise error(
             f"{what} is numerically singular (reciprocal condition estimate "
             f"{rcond:.3e} < {RCOND_MIN:g})"
         )
@@ -388,13 +393,7 @@ def sandwich_covariance(data: Dataset, loss: LossFunction, weights, beta) -> np.
     e = data.y - xt @ beta
     c_mat = (xt * (w * loss.g2(e))[:, None]).T @ xt / data.n
     m_mat = (xt * (w**2 * loss.g1(e))[:, None]).T @ xt / data.n
-    rcond = _rcond(c_mat)
-    if rcond < RCOND_MIN:
-        raise DegenerateCurvatureError(
-            f"curvature matrix is numerically singular (reciprocal condition "
-            f"estimate {rcond:.3e} < {RCOND_MIN:g})"
-        )
-    c_inv = np.linalg.inv(c_mat)
+    c_inv = _solve_spd(c_mat, np.eye(1 + data.q), "curvature matrix", DegenerateCurvatureError)
     cov = c_inv @ m_mat @ c_inv / data.n
     if not np.all(np.isfinite(cov)):
         raise NumericalError("the sandwich covariance is not finite; a squared "

@@ -120,23 +120,20 @@ def projector(beta2) -> np.ndarray:
 def epsilon_perturbation(data: Dataset, fs: FirstStepFit) -> float:
     """Ridge size for the projected-smoothing matrix ``A = P + eps*I``.
 
-    eps = sqrt( 2 s^2 sum_k lam_k^2 / (n q |b|^2) ) where s^2 is the mean
-    squared first-step residual, lam_k are the eigenvalues of
-    (I-P) S2 (I-P) with S2 the bottom-right q x q block of the inverse
-    moment matrix, and |b|^2 the squared slope norm.
+    eps^2 = 2 s^2 sum_k lam_k^2 / (n q |b|^2), with s^2 the mean squared
+    first-step residual, |b|^2 the squared slope norm and lam_k the
+    eigenvalues of (I-P) S2 (I-P), S2 the slope block of the inverse moment
+    matrix.  S2 is Sigma^-1, the inverse covariate covariance (divisor n; a
+    Schur complement), and sum_k lam_k^2 = |(I-P) Sigma^-1 (I-P)|_F^2, so eps
+    comes from the centred covariates and an offset of x leaves it unchanged.
     """
     slope = fs.slope
-    p_mat = projector(slope)
-    xt = data.design_matrix()
-    moment = xt.T @ xt / data.n
-    inv = _solve_spd(moment, np.eye(1 + data.q), "moment matrix")
-    block = inv[1:, 1:]
-    resid_proj = np.eye(data.q) - p_mat
-    mat = resid_proj @ block @ resid_proj
-    lam = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    xc = data.x - data.x.mean(axis=0)
+    cov = xc.T @ xc / data.n
+    resid_proj = np.eye(data.q) - projector(slope)
+    mat = resid_proj @ _solve_spd(cov, np.eye(data.q), "covariate covariance") @ resid_proj
     sigma2 = float(np.mean(fs.residuals**2))
-    norm_sq = float(slope @ slope)
-    value = 2.0 * sigma2 * float(np.sum(lam**2)) / (data.n * data.q * norm_sq)
+    value = 2.0 * sigma2 * float(np.sum(mat**2)) / (data.n * data.q * float(slope @ slope))
     return float(np.sqrt(value))
 
 

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -415,6 +416,40 @@ class TestSingularCurvature:
                         max_iter=max_iter), max_iter
 
 
+class TestRareSolverExits:
+    # A singular IRLS matrix beside a nonsingular Hessian needs a near-tie of
+    # their condition numbers: for power losses the two are proportional
+    # (rho'(e)/e = rho''(e)/(p-1)), and for Huber the IRLS matrix is the
+    # Hessian plus a PSD term.  So a patch raises the error here.
+    def test_singular_irls_after_damped_newton_step_is_skipped(self, monkeypatch):
+        calls = []
+
+        def singular(*args):
+            calls.append(1)
+            raise DegenerateDesignError("IRLS working moment matrix is numerically singular")
+
+        monkeypatch.setattr(est, "_irls_target", singular)
+        data, w = oracle_case(0)
+        loss = NON_SQUARE["power:1.2"]
+        fit = m_solve(data, loss, w)
+        # the IRLS step itself would let the error out, so every call came
+        # after a damped Newton step
+        assert calls and fit.converged
+        assert outcome(m_solve, data, loss, w) == outcome(reference_fit_weighted_m, data, loss, w)
+
+    # No trial point passes the descent test, which a NaN objective forces:
+    # the solver stops where it stands after one iteration
+    def test_no_descent_stops_at_the_start(self, monkeypatch):
+        monkeypatch.setattr(est, "_objective", lambda *args: math.nan)
+        loss, init = SINGULAR_STARTS["huber:0.5"]
+        data, w = Dataset(y=EXACT_Y, x=EXACT_X), np.ones(8)
+        fit = m_solve(data, loss, w, init=init)
+        assert fit.iterations == 1 and fit.beta.tobytes() == np.array(init).tobytes()
+        for max_iter in (1, 2, 100):
+            assert outcome(m_solve, data, loss, w, init=init, max_iter=max_iter) == \
+                outcome(reference_fit_weighted_m, data, loss, w, init=init, max_iter=max_iter)
+
+
 class TestZeroCovariateAtZeroResidual:
     # x = 0 in the row whose residual is exactly 0: the power curvature inf
     # meets the covariate 0 and puts a NaN in the curvature matrix, whose
@@ -535,5 +570,8 @@ class TestSandwichCovariance:
         d, w = random_instance(rng, n=20, q=2)
         beta = np.zeros(3)
         beta_far = beta + 100.0
-        with pytest.raises(DegenerateCurvatureError):
+        with pytest.raises(DegenerateCurvatureError) as info:
             sandwich_covariance(d, LossFunction.huber(1e-3), w, beta_far)
+        assert type(info.value) is DegenerateCurvatureError
+        assert str(info.value).startswith(
+            "curvature matrix is numerically singular (reciprocal condition estimate ")

@@ -393,6 +393,35 @@ class TestEpsilonPerturbation:
         ratio = medians[0] / medians[1]
         assert 1.5 <= ratio <= 2.5
 
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_matches_eigenvalue_form(self, q):
+        # the docstring's form: eigenvalues of (I-P) S2 (I-P), S2 the slope
+        # block of the inverse (1+q) moment matrix
+        rng = np.random.default_rng(55 + q)
+        for _ in range(10):
+            n = int(rng.integers(q + 20, 300))
+            x = rng.normal(size=(n, q)) * rng.uniform(0.5, 2.0, size=q) + rng.normal(size=q)
+            d = Dataset(y=x @ rng.normal(size=q) + rng.normal(size=n), x=x)
+            fs = first_step(d, SQUARE)
+            xt = d.design_matrix()
+            block = np.linalg.inv(xt.T @ xt / n)[1:, 1:]
+            resid_proj = np.eye(q) - projector(fs.slope)
+            mat = resid_proj @ block @ resid_proj
+            lam = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+            expected = np.sqrt(2.0 * np.mean(fs.residuals**2) * np.sum(lam**2)
+                               / (n * q * (fs.slope @ fs.slope)))
+            got = epsilon_perturbation(d, fs)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+            assert (got == 0.0) == (q == 1)
+
+    @pytest.mark.parametrize("c", (1e2, 1e4, 1e6))
+    def test_covariate_shift_leaves_eps_unchanged(self, c):
+        for r, (n, q) in enumerate(((60, 2), (300, 3), (2000, 4))):
+            d, _ = generate_sample(n, q, "disc", replication_rng(r, 0))
+            fs = first_step(d, SQUARE)
+            shifted = epsilon_perturbation(Dataset(y=d.y, x=d.x + c), fs)
+            assert shifted == pytest.approx(epsilon_perturbation(d, fs), rel=1e-9, abs=0)
+
 
 class TestSpProjectedWeights:
     def test_constant_residuals(self):

@@ -20,9 +20,11 @@ listed as different.  The exit status is 0 when no record differs and no
 number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
-routes; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits (200- and
-1000-point grids among them, and a refused 1001-point one); bandwidth
-extremes; input errors; malformed and unusual CSV files (a repeated ``y``
+routes; ``q2.csv`` with every covariate shifted by +1e4 under the constant,
+np and sp-proj routes (a shift that still makes the first step's moment
+matrix singular); fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
+(200- and 1000-point grids among them, and a refused 1001-point one);
+bandwidth extremes; input errors; malformed and unusual CSV files (a repeated ``y``
 column, and non-finite cells: ``nan``, ``inf``, ``1e999``, which overflows,
 and a quoted ``"nan"`` below a blank line, among them); five ``simulate
 --workers 2`` studies and four invalid ones (``--out`` naming a file, a
@@ -89,12 +91,13 @@ UNWRITABLE_OUT = "out/unwritable"
 RTOL = 1e-12  # largest relative move of a number that passes
 
 
-def fit_csv_text(q: int, n: int, seed: int) -> str:
-    """A heteroscedastic linear sample with 17-digit cells."""
+def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0) -> str:
+    """A heteroscedastic linear sample with 17-digit cells, covariates shifted by ``shift``."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, q))
     sigma = 0.5 + np.abs(x[:, 0]) + 0.25 * x[:, -1] ** 2
     y = 1.0 + x @ np.linspace(1.0, -0.5, q) + sigma * rng.normal(size=n)
+    x = x + shift
     lines = [",".join(["y"] + [f"x{j + 1}" for j in range(q)])]
     lines += [",".join(format(v, ".17g") for v in (y[i], *x[i])) for i in range(n)]
     return "\n".join(lines) + "\n"
@@ -201,6 +204,9 @@ def command_set() -> list[tuple[str, list[str]]]:
         "five-rows-q3-power1.2": ["fit", "--data", "data/five_rows_q3.csv",
                                   "--loss", "power:1.2"],
     }
+    for route in ("constant", "np", "sp-proj"):
+        more[f"q2-shift1e4/{route}"] = ["fit", "--data", "data/q2_shift1e4.csv",
+                                        "--weights", route]
     for h in ("0.5", "3", "100"):
         more[f"zero-residual-power1.2-np-h{h}"] = [
             "fit", "--data", "data/zero_residual.csv", "--loss", "power:1.2",
@@ -291,6 +297,8 @@ def write_inputs(root: str) -> None:
     for name, (q, n) in CSV_SIZES.items():
         with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
             handle.write(fit_csv_text(q, n, seed=q))
+    with open(os.path.join(data, "q2_shift1e4.csv"), "w", newline="") as handle:
+        handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, shift=1e4))
     os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
     for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV),
                        ("overflow", OVERFLOW_CSV), ("exact_fit", EXACT_FIT_CSV),
