@@ -15,7 +15,7 @@ Candidates where fewer than 80% of indices are evaluable are disqualified
 outright.  Ties break toward the smallest bandwidth, so the selection is a
 deterministic function of the data and the grid.
 
-The scan scores the whole grid in one pass over the pairs (Fan & Marron,
+The scan scores the whole grid in one pass (Fan & Marron,
 *Fast implementations of nonparametric curve estimators*, JCGS 3(1), 1994;
 Langrené & Warin, *Fast and stable multivariate kernel density estimation by
 fast sum updating*, JCGS 28(3), 2019).  The Epanechnikov kernel is a
@@ -26,10 +26,24 @@ h^-d cancel in every smooth, so with squared distances d2_ij,
 
 where k counts the neighbours with d2_ij < h^2 (strictly: the kernel is zero
 at |u| = 1) and S_e, S_de, S_d sum e2_j, d2_ij e2_j and d2_ij over those k.
-Index i is evaluable exactly when k > 0; the self distance is +inf, so the
-self term is in no window.  Each pair inside the largest window is binned by
-the first candidate, in increasing h, whose window holds it, and the sums of
-every (i, h) are prefix sums over the G bins of row i.  A table on the
+Index i is evaluable exactly when k > 0.
+
+Smoothing coordinates with one column (sp-index, and np or sp-proj at
+q = 1) are scored without visiting the pairs:
+:func:`adaweight.weights.window_sums`, shared with the final smoother, sorts
+the points once and gives k and the window sums of the columns 1 and e2,
+k - S_d / h^2 and S_e - S_de / h^2, at every candidate from running sums over
+segments of sorted rows (its module docstring has the method).  It tests
+the same strict (z_j - z_i)^2 < h^2, so the counts, the evaluable fractions
+and the choice are those of the pair scan, and the scores agree to
+rounding.  It costs O(G n log n) for G candidates and, scoring one
+candidate at a time, holds O(n) memory.
+
+Coordinates with two or more columns go through the pairs, with the self
+distance set to +inf so the self term is in no window.  Each pair inside
+the largest window is binned by the first candidate, in increasing h, whose
+window holds it, and the sums of every (i, h) are prefix sums over the G
+bins of row i.  A table on the
 leading bits of d2_ij (256 cells per power of two) finds the bin up to the
 candidates sharing a cell, one on the default grid, and a binary search
 settles those.  Rows go in blocks of BLOCK_ROWS
@@ -46,7 +60,13 @@ import numpy as np
 
 from .errors import BandwidthGridError, DataError
 from .estimators import Dataset
-from .weights import FirstStepFit, distance_blocks, smoothing_coordinates, squared_bandwidth
+from .weights import (
+    FirstStepFit,
+    distance_blocks,
+    smoothing_coordinates,
+    squared_bandwidth,
+    window_sums,
+)
 
 #: Minimum fraction of evaluable leave-one-out terms for a candidate.
 MIN_VALID_FRACTION = 0.8
@@ -92,6 +112,29 @@ def _loo_scan(
     """Scores and evaluable fractions of every candidate (module docstring)."""
     n = points.shape[0]
     h2s, where = np.unique([squared_bandwidth(h) for h in grid], return_inverse=True)
+    sq_err = np.zeros(h2s.size)
+    evaluable = np.zeros(h2s.size, dtype=np.int64)
+    if points.shape[1] == 1:
+        for g, (k, (mass, s_e)) in enumerate(window_sums(points[:, 0], [np.ones(n), e2], h2s)):
+            sq_err[g], evaluable[g] = _loo_terms(e2, k, mass, s_e)
+    else:
+        for block, k, (mass, s_e) in _binned_windows(points, e2, h2s):
+            sq, ev = _loo_terms(e2[block, None], k, mass, s_e)
+            sq_err += sq
+            evaluable += ev
+    return sq_err[where] / n, evaluable[where] / n
+
+
+def _loo_terms(e2, k, mass, s_e):
+    """Summed squared errors and evaluable count over the rows (axis 0)."""
+    valid = k > 0
+    predicted = np.divide(s_e, mass, out=np.zeros(k.shape), where=valid)
+    return np.sum((e2 - predicted) ** 2, axis=0), np.sum(valid, axis=0)
+
+
+def _binned_windows(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
+    """Yield ``(block, k, (mass, s_e))`` per block of rows, from the pair bins."""
+    n = points.shape[0]
     g = h2s.size
     # table cell c: leading bits c0 + c (lower ones in cell 0), start[c]
     # candidates below it; h2pad pads the binary search within a cell
@@ -99,8 +142,6 @@ def _loo_scan(
     start = np.searchsorted(h2s, (np.arange(c0, c1 + 1) << TABLE_SHIFT).view(float))
     depth = int(np.max(np.diff(start, append=g))).bit_length()
     h2pad = np.append(h2s, np.full(1 << depth, np.inf))
-    sq_err = np.zeros(g)
-    evaluable = np.zeros(g, dtype=np.int64)
     for block, d2 in distance_blocks(points, self_d2=np.inf):
         r = d2.shape[0]
         flat = np.flatnonzero(d2 < h2s[-1])
@@ -119,13 +160,7 @@ def _loo_scan(
         sums.append(np.bincount(cell, weights=ec, minlength=r * g))
         del dist, cell, ec
         k, s_e, s_d, s_de = (np.cumsum(s.reshape(r, g), axis=1) for s in sums)
-        valid = k > 0
-        predicted = np.divide(
-            s_e - s_de / h2s, k - s_d / h2s, out=np.zeros(k.shape), where=valid
-        )
-        sq_err += np.sum((e2[block, None] - predicted) ** 2, axis=0)
-        evaluable += np.sum(valid, axis=0)
-    return sq_err[where] / n, evaluable[where] / n
+        yield block, k, (k - s_d / h2s, s_e - s_de / h2s)
 
 
 def cv_bandwidth(

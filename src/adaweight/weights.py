@@ -24,16 +24,41 @@ The kernel routes smooth with the Epanechnikov kernel whose dimension is
 that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
 ``"sp-index"``).  Kernel sums include the self term i == j; leave-one-out
 kernels appear only inside bandwidth cross-validation (see
-:mod:`adaweight.bandwidth`).  The smoother never holds an n x n matrix: it
-takes the rows in blocks of BLOCK_ROWS (:func:`distance_blocks`, shared
-with cross-validation), writes each block's squared distances to all n
-points into one ``(BLOCK_ROWS, n)`` buffer, turns them into kernel values in
-place and reduces the block against g2 and g1 with two matrix-vector
-products, so its memory is O(BLOCK_ROWS * n).  The factors h^-d and 1/n of
-the kernel estimates cancel in N/D and in the relative floor below, so they
-are not applied and no bandwidth can underflow them.  The coordinates are
-centred before the distances are taken, so an offset of the covariates does
-not cost precision.  Numerators and denominators are floored at 1e-8 of
+:mod:`adaweight.bandwidth`).  The smoother never holds an n x n matrix.  For
+coordinates with two or more columns it takes the rows in blocks of
+BLOCK_ROWS (:func:`distance_blocks`, shared with cross-validation), writes
+each block's squared distances to all n points into one ``(BLOCK_ROWS, n)``
+buffer, turns them into kernel values in place and reduces the block
+against g2 and g1 with two matrix-vector products, so its memory is
+O(BLOCK_ROWS * n).  The coordinates are centred before the distances are
+taken, so an offset of the covariates does not cost precision.
+
+Coordinates with one column (``"sp-index"`` always, ``"np"`` and
+``"sp-proj"`` at q = 1) take the sorted path of :func:`window_sums`, which
+cross-validation shares; the smoother adds the self term, K(0) = 1, to its
+sums of g2 and g1.  One sort makes every window a range of sorted rows.
+The window of point i is every j != i with (z_j - z_i)**2 < h^2, the
+difference formed directly, so a neighbour at distance exactly h is out;
+each edge is found by a search at z_i -/+ h and then moved over whole runs
+of tied values until that predicate holds exactly.  The sorted rows are cut
+into segments, each starting at the first row outside the window of the
+previous start: the rows of a segment lie within h of its first point and
+of each other, and a window covers the tail of the segment before its own,
+its own segment and the head of the one after.  Running sums of c, c u and
+c u^2, with u = z - (the segment's first point), taken forward and backward
+within each segment give each of the three pieces as one sum, with nothing
+subtracted.  A piece's S_dc is sum c (u - v)^2 = S_cuu - 2 v S_cu + v^2 S_c
+with v = z_i - (that first point), |u| < h and |v| < 2h, so the expansion
+loses only a few roundings of h^2 S_c, and an offset of z costs nothing.  A
+call costs one sort and O(n (m + log n)) per bandwidth for m columns, and
+it yields one bandwidth's sums at a time, so it holds O(n m) memory: the
+running sums pad the segments of each power-of-two length class to that
+length, fewer than n padded rows in all, never a row per segment as long as
+the longest window.
+
+The factors h^-d and 1/n of the kernel estimates cancel in N/D and in the
+relative floor below, so they are not applied and no bandwidth can
+underflow them.  Numerators and denominators are floored at 1e-8 of
 their maximum so the returned sequences are strictly positive and finite.
 In order: a denominator that is not finite (an overflowed squared score or
 distance) raises NumericalError; a numerator that is not finite (g2 = inf at
@@ -76,7 +101,8 @@ CLAMP_HI = 1e6
 #: Smoothing geometries understood by the kernel routes.
 MODES = ("np", "sp-index", "sp-proj")
 
-#: Rows per block of the smoother and of the leave-one-out scan.
+#: Rows per block of the smoother and of the leave-one-out scan over two or
+#: more smoothing columns.
 BLOCK_ROWS = 256
 
 
@@ -205,6 +231,122 @@ def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
         yield block, d2
 
 
+def _right_edges(zs: np.ndarray, h2: float) -> np.ndarray:
+    """First sorted row past the right end of each row's window.
+
+    The window predicate (zs[j] - zs[i])**2 < h2 is written here only.  A
+    search at zs + sqrt(h2) lands within rounding of each edge, which then
+    moves by whole runs of tied values until the predicate holds exactly:
+    in on the row before the edge and out at it (row n is out).
+    """
+    n = zs.size
+    padded = np.append(zs, np.inf)
+
+    def inside(rows):
+        return (padded[rows] - zs) ** 2 < h2
+
+    hi = np.maximum(np.searchsorted(zs, zs + np.sqrt(h2)), np.arange(1, n + 1))
+    while (ahead := inside(hi)).any():
+        hi[ahead] = np.searchsorted(zs, zs[hi[ahead]], "right")
+    while (back := ~inside(hi - 1)).any():
+        hi[back] = np.searchsorted(zs, zs[hi[back] - 1], "left")
+    return hi
+
+
+def _segment_starts(hi: np.ndarray) -> np.ndarray:
+    """Rows that start a segment: row 0, and the right edge of each start.
+
+    Every pair of rows in one segment lies in each other's window, and the
+    window of a row in segment s reaches no further than segments s - 1 and
+    s + 1.  The chain of starts is followed by pointer doubling.
+    """
+    n = hi.size
+    jump = np.append(hi, n)
+    start = np.zeros(n + 1, dtype=bool)
+    start[0] = True
+    while jump[0] < n:  # start marks the first 2**m starts, jump is hi applied 2**m times
+        start[jump[start]] = True
+        jump = jump[jump]
+    return np.flatnonzero(start[:n])
+
+
+def _segment_scans(x: np.ndarray, starts: np.ndarray, seg: np.ndarray):
+    """Running sums of the rows of ``x`` within each segment, and a zero row n.
+
+    Returns ``(prefix, suffix)``: row i sums the rows of its segment up to i
+    and from i on.  The segments of at most 2**b rows are the rows of one
+    zero-padded array for each b, so every sum adds the rows of one segment
+    in order, nothing is subtracted, and the padding holds fewer than n rows.
+    """
+    n = x.shape[0]
+    pos = np.arange(n) - starts[seg]
+    bits = np.frexp(np.diff(starts, append=n) - 1)[1]  # 2**bits >= segment length
+    prefix, suffix = np.zeros((2, n + 1, x.shape[1]))
+    for b in np.unique(bits):
+        segs = np.flatnonzero(bits == b)
+        rows = np.flatnonzero(bits[seg] == b)
+        at = np.searchsorted(segs, seg[rows]), pos[rows]
+        pad = np.zeros((segs.size, 1 << b, x.shape[1]))
+        pad[at] = x[rows]
+        prefix[rows] = np.cumsum(pad, axis=1)[at]
+        suffix[rows] = np.cumsum(pad[:, ::-1], axis=1)[:, ::-1][at]
+    return prefix, suffix
+
+
+def window_sums(z: np.ndarray, columns, h2s):
+    """Epanechnikov window sums over one-dimensional points, self term excluded.
+
+    The window of point i at the squared bandwidth h2 holds every j != i
+    with (z_j - z_i)**2 < h2.  Yields ``(k, sums)`` for each h2 of ``h2s``
+    in turn: ``k[i]`` counts the points in the window of i, and
+    ``sums[c][i]`` is S_c - S_dc / h2, where S_c and S_dc sum c_j and
+    (z_j - z_i)**2 c_j over that window, for each of the ``columns``.  A
+    point that is not finite is in no window, and its sums are NaN.  The
+    module docstring describes the method.
+    """
+    finite = np.isfinite(z)
+    if not finite.all():
+        for k, sums in window_sums(z[finite], [np.asarray(c)[finite] for c in columns], h2s):
+            k_all = np.zeros(z.size, dtype=np.int64)
+            sums_all = np.full((len(columns), z.size), np.nan)
+            k_all[finite], sums_all[:, finite] = k, sums
+            yield k_all, sums_all
+        return
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    cols = np.column_stack(columns)[order]
+    n, m = cols.shape
+    rows = np.arange(n)
+    for h2 in h2s:
+        hi = _right_edges(zs, h2)
+        lo = n - _right_edges(-zs[::-1], h2)[::-1]
+        starts = _segment_starts(hi)
+        seg = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+        first, stop = starts[seg], np.append(starts, n)[seg + 1]
+        anchor = zs[first]
+        u = (zs - anchor)[:, None]
+        prefix, suffix = _segment_scans(np.hstack([cols, cols * u, cols * u * u]), starts, seg)
+        # three pieces, each summed about the first point of its segment: the
+        # tail of segment s - 1 from lo, segment s but row i, and the head of
+        # s + 1 up to hi; an empty piece sums the zero row n
+        pieces = (
+            (suffix[np.where(lo < first, lo, n)], lo),
+            (prefix[np.where(rows > first, rows - 1, n)]
+             + suffix[np.where(rows + 1 < stop, rows + 1, n)], rows),
+            (prefix[np.where(hi > stop, hi - 1, n)], hi - 1),
+        )
+        total = np.zeros((n, m))
+        for piece, at in pieces:
+            s_c, s_cu, s_cuu = np.split(piece, 3, axis=1)
+            v = (zs - anchor[at])[:, None]
+            total += s_c - (s_cuu - 2.0 * v * s_cu + v * v * s_c) / h2
+        k = np.empty(n, dtype=np.int64)
+        sums = np.empty((m, n))
+        k[order] = hi - lo - 1
+        sums[:, order] = total.T
+        yield k, sums
+
+
 def squared_bandwidth(h: float) -> float:
     """``h**2`` for a usable bandwidth ``h``: the one test of a bandwidth.
 
@@ -229,16 +371,20 @@ def _ratio_weights(
     loss: LossFunction, fs: FirstStepFit, h: float, points: np.ndarray
 ) -> np.ndarray:
     h2 = squared_bandwidth(h)
-    kernel = EpanechnikovKernel(points.shape[1])
     g1 = loss.g1(fs.residuals)
     g2 = loss.g2(fs.residuals)
-    num = np.empty(points.shape[0])
-    den = np.empty(points.shape[0])
-    for block, d2 in distance_blocks(points):
-        d2 /= h2
-        k = kernel.profile(d2, out=d2)
-        num[block] = k @ g2
-        den[block] = k @ g1
+    if points.shape[1] == 1:
+        _, (num, den) = next(window_sums(points[:, 0], [g2, g1], [h2]))
+        num, den = num + g2, den + g1  # the self term, K(0) = 1
+    else:
+        kernel = EpanechnikovKernel(points.shape[1])
+        num = np.empty(points.shape[0])
+        den = np.empty(points.shape[0])
+        for block, d2 in distance_blocks(points):
+            d2 /= h2
+            k = kernel.profile(d2, out=d2)
+            num[block] = k @ g2
+            den[block] = k @ g1
     top_num, top_den = float(np.max(num)), float(np.max(den))
     if not np.isfinite(top_den):  # an overflow, so checked before the numerators
         raise NumericalError("a smoothing denominator is not finite; a squared "

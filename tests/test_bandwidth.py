@@ -447,6 +447,53 @@ class TestLooScanProperties:
         assert np.array_equal(fractions, [0.0, 0.0])
 
 
+def direct_loo_criterion(z, e2, grid, rows=256):
+    """Scores and evaluable fractions from directly formed (z_j - z_i)**2, in row blocks.
+
+    Each pair inside the largest window is binned by the first candidate
+    whose window holds it, and the window sums of k, e2, d2 and d2 e2 are
+    prefix sums over those bins; memory is O(rows * n).
+    """
+    n = z.size
+    h2s = np.asarray(grid, dtype=float) ** 2
+    g = h2s.size
+    sq_err, evaluable = np.zeros(g), np.zeros(g)
+    for start in range(0, n, rows):
+        r = min(rows, n - start)
+        d2 = (z[start:start + r, None] - z[None, :]) ** 2
+        d2[np.arange(r), np.arange(start, start + r)] = np.inf
+        row, col = np.nonzero(d2 < h2s.max())
+        dist = d2[row, col]
+        cell = row * g + np.searchsorted(h2s, dist, side="right")
+        k, s_e, s_d, s_de = (
+            np.cumsum(np.bincount(cell, weights=w, minlength=r * g).reshape(r, g), axis=1)
+            for w in (None, e2[col], dist, dist * e2[col])
+        )
+        valid = k > 0
+        smooth = np.divide(s_e - s_de / h2s, k - s_d / h2s, out=np.zeros(k.shape), where=valid)
+        sq_err += np.sum((e2[start:start + r, None] - smooth) ** 2, axis=0)
+        evaluable += np.sum(valid, axis=0)
+    return sq_err / n, evaluable / n
+
+
+class TestSortedScan:
+    @pytest.mark.parametrize("n", [300, 2000, 8000])
+    def test_index_scan_matches_direct_reference(self, n):
+        # the one-column path: sorted windows and prefix sums per segment
+        d, _ = generate_sample(n, 2, "smooth", replication_rng(1, 0))
+        fs = first_step(d, SQUARE)
+        points = smoothing_coordinates(d, fs, "sp-index")
+        grid = default_grid(points)
+        e2 = fs.residuals**2
+        ref_scores, ref_fractions = direct_loo_criterion(points[:, 0], e2, grid)
+        scores, fractions = _loo_scan(points, e2, grid)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
+        eligible = np.flatnonzero(ref_fractions >= MIN_VALID_FRACTION)
+        best = eligible[np.argmin(ref_scores[eligible])]
+        assert cv_bandwidth(d, fs, "sp-index").h_cv == grid[best]
+
+
 class TestTranslationInvariance:
     @settings(max_examples=25, deadline=None)
     @given(

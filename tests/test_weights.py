@@ -15,6 +15,7 @@ from adaweight import (
     NumericalError,
     WeightFamilyError,
     clamp_weights,
+    cv_bandwidth,
     epsilon_perturbation,
     evaluate_weight_map,
     first_step,
@@ -40,6 +41,7 @@ from adaweight.weights import (
     smoothing_coordinates,
     squared_bandwidth,
     weighted_fit,
+    window_sums,
 )
 from adaweight.estimators import fit_weighted_m
 
@@ -635,3 +637,150 @@ class TestBlockedSmoother:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+def stacked_window_sums(z, columns, h2s):
+    """``window_sums`` over every h2, stacked: k is (n, G), sums (columns, n, G)."""
+    k, sums = zip(*window_sums(z, columns, h2s))
+    return np.stack(k, axis=-1), np.stack(sums, axis=-1)
+
+
+def dense_window_sums(z, columns, h2s):
+    """Counts and sums c_j (1 - d2/h2) over j != i with d2 = (z_j - z_i)**2 < h2."""
+    d2 = (z[:, None] - z[None, :]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    k = np.stack([np.sum(d2 < h2, axis=1) for h2 in h2s], axis=1)
+    sums = [np.stack([np.where(d2 < h2, 1.0 - d2 / h2, 0.0) @ c for h2 in h2s], axis=1)
+            for c in columns]
+    return k, np.array(sums)
+
+
+class TestWindowSums:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                           BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+        spread=st.integers(1, 6),
+        step=st.sampled_from([1.0, 0.5, 0.25, 3.0]),
+        duplicate=st.booleans(),
+        outliers=st.integers(0, 4),
+        offset=st.integers(-2**24, 2**24).map(lambda k: k / 16.0),
+        grid=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-3, 1e4]),
+                                st.integers(1, 16).map(lambda k: k / 4)),
+                      min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, n, spread, step, duplicate, outliers, offset,
+                                     grid, seed):
+        # a lattice with ties, many neighbours at distance exactly h (where
+        # the kernel is zero), far outliers and an offset up to 1e6; the
+        # offset is dyadic, so every point and difference is exact
+        rng = np.random.default_rng(seed)
+        z = step * rng.integers(-spread, spread + 1, size=n)
+        z[: min(outliers, n)] = 1e3 * rng.choice([-1.0, 1.0], size=min(outliers, n)) \
+            * np.arange(1, min(outliers, n) + 1)
+        if duplicate:
+            z = np.concatenate([z, z])
+        z = rng.permutation(z) + offset
+        columns = [np.ones(z.size), rng.normal(size=z.size) ** 2, rng.exponential(size=z.size)]
+        h2s = np.array([h * h for h in grid])
+        k, sums = stacked_window_sums(z, columns, h2s)
+        ref_k, ref_sums = dense_window_sums(z, columns, h2s)
+        assert np.array_equal(k, ref_k)
+        assert np.array_equal(np.mean(k > 0, axis=0), np.mean(ref_k > 0, axis=0))
+        np.testing.assert_allclose(sums, ref_sums, rtol=1e-12, atol=0.0)
+
+    def test_neighbour_at_distance_exactly_h_is_outside(self):
+        k, (s,) = stacked_window_sums(np.array([0.0, 1.0, 2.0]), [np.ones(3)], [1.0, 2.25])
+        assert np.array_equal(k, [[0, 1], [0, 2], [0, 1]])
+        np.testing.assert_allclose(s, [[0.0, 1 - 1 / 2.25], [0.0, 2 * (1 - 1 / 2.25)],
+                                       [0.0, 1 - 1 / 2.25]], rtol=1e-15)
+
+    def test_point_that_is_not_finite_is_in_no_window(self):
+        z = np.array([0.0, np.nan, 0.5, np.inf, 1.0, -np.inf])
+        c = np.arange(1.0, 7.0)
+        k, (s,) = stacked_window_sums(z, [c], [1.0])
+        assert np.array_equal(k[:, 0], [1, 0, 2, 0, 1, 0])
+        assert np.all(np.isnan(s[[1, 3, 5], 0]))
+        np.testing.assert_allclose(s[[0, 2, 4], 0], [0.75 * 3, 0.75 * 1 + 0.75 * 5, 0.75 * 3])
+
+    @pytest.mark.parametrize("design", ["smooth", "cluster-and-outliers"])
+    def test_memory_stays_linear_at_n_20000(self, design):
+        # one run of sorted rows spanning at most h per segment; a layout
+        # padding every segment to the longest range of rows it reads holds
+        # about 10^4 x 10^4 values here, far beyond the bound
+        n = 20000
+        if design == "smooth":
+            d, _ = generate_sample(n, 2, "smooth", replication_rng(1, 0))
+            fs = first_step(d, SQUARE)
+            grid = None
+        else:
+            rng = np.random.default_rng(47)
+            cluster = rng.uniform(0.0, 1e-3, size=n // 2)
+            pairs = np.repeat(10.0 * np.arange(n // 4), 2) + np.tile([0.0, 1.0], n // 4)
+            x = np.concatenate([cluster, pairs + 100.0])[:, None]
+            d = Dataset(y=np.zeros(n), x=x)
+            fs = FirstStepFit(beta=np.array([0.0, 1.0]), residuals=rng.normal(size=n))
+            grid = np.geomspace(0.5, 4.0, 20)
+        tracemalloc.start()
+        try:
+            h = cv_bandwidth(d, fs, "sp-index", grid=grid).h_cv
+            cv_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sp_index_weights(d, SQUARE, fs, h)
+            smoother_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cv_peak <= 32 * 2**20
+        assert smoother_peak <= 16 * 2**20
+
+
+#: The same points as one smoothing column (the sorted path) and as two
+#: columns with a zero second one (the blocked path): the same windows.
+COLUMN_GEOMETRIES = {
+    "one-column": lambda x: x.reshape(-1, 1),
+    "two-column": lambda x: np.column_stack([x, np.zeros(x.size)]),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(COLUMN_GEOMETRIES))
+class TestSmootherFailureRulesByGeometry:
+    @pytest.mark.parametrize("h", [0.5, 5.0, 1e6])
+    def test_exact_first_step_fit_is_numerical_error(self, geometry, h):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+        fs = first_step(Dataset(y=np.zeros(5), x=x), SQUARE)
+        with pytest.raises(NumericalError, match="fits the data exactly") as info:
+            _ratio_weights(SQUARE, fs, h, COLUMN_GEOMETRIES[geometry](x))
+        assert type(info.value) is NumericalError
+
+    def test_overflowing_squared_score_is_numerical_error(self, geometry):
+        x = np.arange(6.0)
+        fs = first_step(Dataset(y=OVERFLOW_Y, x=x.reshape(-1, 1)), SQUARE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="denominator is not finite") as info:
+                _ratio_weights(SQUARE, fs, 3.0, COLUMN_GEOMETRIES[geometry](x))
+        assert type(info.value) is NumericalError
+
+    def test_infinite_numerator_is_named_before_vanished_denominator(self, geometry):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+        loss = LossFunction.power(1.5)
+        fs = first_step(Dataset(y=np.zeros(5), x=x), loss)
+        with pytest.raises(DegenerateCurvatureError, match="numerator is not finite") as info:
+            _ratio_weights(loss, fs, 1.0, COLUMN_GEOMETRIES[geometry](x))
+        assert type(info.value) is DegenerateCurvatureError
+
+    @pytest.mark.parametrize("h", [1e-9, 2e-162], ids=["tiny", "subnormal-square"])
+    def test_tiny_bandwidth_keeps_the_self_term(self, geometry, h):
+        # only the self term lies within h: at 1e-9, and at 2e-162, whose
+        # square is the least subnormal
+        rng = np.random.default_rng(46)
+        x = rng.normal(size=250) + 3.0
+        fs = FirstStepFit(beta=np.array([0.0, 1.0]), residuals=rng.normal(size=250))
+        g1, g2 = SQUARE.g1(fs.residuals), SQUARE.g2(fs.residuals)
+        expected = g2 / np.maximum(g1, SMOOTHING_FLOOR * g1.max())
+        points = COLUMN_GEOMETRIES[geometry](x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _ratio_weights(SQUARE, fs, h, points)
+        np.testing.assert_allclose(w, expected, rtol=1e-12)
+        np.testing.assert_array_equal(w, _ratio_weights(SQUARE, fs, 1e-150, points))

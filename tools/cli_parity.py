@@ -16,13 +16,20 @@ both sides (JSON, or CSV for ``errors.csv``) and, when only numbers moved,
 gives the worst relative difference per kind of field: beta, standard
 errors, CV scores, weight summaries, ``errors.csv``, ``summary.json`` and
 other numbers.  A record whose exit code, text or structure changed is
-listed as different.  The exit status is 0 when no record differs and no
-number moved by more than ``RTOL`` (rel 1e-12), else 1.
+listed as different.  A number whose two sides are both at most
+``ROUNDING`` (1e-15) in magnitude moved at rounding level: such moves are
+listed by record and path, apart from the others, and no relative bound
+applies to them (a certificate going from 0 to 2.8e-17 is not a move of
+rel 1).  The exit status is 0 when no record differs and no other number
+moved by more than ``RTOL`` (rel 1e-12), else 1.
 
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; ``q2.csv`` with every covariate shifted by +1e4 under the constant,
 np and sp-proj routes (a shift that still makes the first step's moment
-matrix singular); fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
+matrix singular); a q = 1 integer lattice with ties, fitted by sp-index and
+np at ``--bandwidth 1`` (np puts neighbours at exactly h) and by CV, and an
+n = 5000 sp-index CV fit, whose sorted one-dimensional path crosses many
+segments; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
 (200- and 1000-point grids among them, and a refused 1001-point one);
 bandwidth extremes; input errors; malformed and unusual CSV files (a repeated ``y``
 column, and non-finite cells: ``nan``, ``inf``, ``1e999``, which overflows,
@@ -89,6 +96,7 @@ FIVE_ROWS_Q3_CSV = (
 #: Output directory of a study whose ``errors.csv`` is a directory.
 UNWRITABLE_OUT = "out/unwritable"
 RTOL = 1e-12  # largest relative move of a number that passes
+ROUNDING = 1e-15  # both sides at most this in magnitude: a rounding-level move
 
 
 def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0) -> str:
@@ -101,6 +109,14 @@ def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0) -> str:
     lines = [",".join(["y"] + [f"x{j + 1}" for j in range(q)])]
     lines += [",".join(format(v, ".17g") for v in (y[i], *x[i])) for i in range(n)]
     return "\n".join(lines) + "\n"
+
+
+def lattice_csv_text(n: int, seed: int) -> str:
+    """A q = 1 sample whose covariate takes the integers -6..6, so values tie."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-6, 7, size=n)
+    y = 1.0 + 0.5 * x + (0.5 + np.abs(x) / 4) * rng.normal(size=n)
+    return "y,x1\n" + "".join(f"{v:.17g},{u}\n" for v, u in zip(y, x))
 
 
 def ingest_cases() -> dict[str, bytes | None]:
@@ -207,6 +223,11 @@ def command_set() -> list[tuple[str, list[str]]]:
     for route in ("constant", "np", "sp-proj"):
         more[f"q2-shift1e4/{route}"] = ["fit", "--data", "data/q2_shift1e4.csv",
                                         "--weights", route]
+    for route in ("sp-index", "np"):
+        for h in ("1", "cv"):
+            more[f"lattice-q1/{route}-h{h}"] = ["fit", "--data", "data/lattice_q1.csv",
+                                               "--weights", route, "--bandwidth", h]
+    more["n5000-sp-index-cv"] = ["fit", "--data", "data/q2_n5000.csv", "--weights", "sp-index"]
     for h in ("0.5", "3", "100"):
         more[f"zero-residual-power1.2-np-h{h}"] = [
             "fit", "--data", "data/zero_residual.csv", "--loss", "power:1.2",
@@ -299,6 +320,10 @@ def write_inputs(root: str) -> None:
             handle.write(fit_csv_text(q, n, seed=q))
     with open(os.path.join(data, "q2_shift1e4.csv"), "w", newline="") as handle:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, shift=1e4))
+    with open(os.path.join(data, "q2_n5000.csv"), "w", newline="") as handle:
+        handle.write(fit_csv_text(2, 5000, seed=5))
+    with open(os.path.join(data, "lattice_q1.csv"), "w", newline="") as handle:
+        handle.write(lattice_csv_text(200, seed=11))
     os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
     for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV),
                        ("overflow", OVERFLOW_CSV), ("exact_fit", EXACT_FIT_CSV),
@@ -365,7 +390,7 @@ def _number(cell: str):
 
 
 def numeric_moves(a, b, path=()):
-    """``(path, rel diff)`` of every moved number, or None if a and b differ otherwise."""
+    """``(path, a, b)`` of every moved number, or None if a and b differ otherwise."""
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             return None
@@ -376,9 +401,7 @@ def numeric_moves(a, b, path=()):
         pairs = [(x, y, path + (i,)) for i, (x, y) in enumerate(zip(a, b))]
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)) \
             and not isinstance(a, bool) and not isinstance(b, bool):
-        if a == b:
-            return []
-        return [(path, abs(a - b) / max(abs(a), abs(b)))]
+        return [] if a == b else [(path, a, b)]
     else:
         return [] if a == b else None
     moves = []
@@ -391,7 +414,7 @@ def numeric_moves(a, b, path=()):
 
 
 def compare(parent: dict, change: dict) -> dict:
-    identical, moved, different = [], {}, {}
+    identical, moved, different, rounding = [], {}, {}, {}
     worst: dict[str, float] = {}
     for name in parent:
         a, b = parent[name], change[name]
@@ -399,6 +422,7 @@ def compare(parent: dict, change: dict) -> dict:
             identical.append(name)
             continue
         record_worst: dict[str, float] = {}
+        record_rounding = []
         for part in sorted(set(a) | set(b)):
             if a.get(part) == b.get(part):
                 continue
@@ -413,15 +437,22 @@ def compare(parent: dict, change: dict) -> dict:
                 different[name] = {"part": part, "parent": _head(a.get(part)),
                                    "change": _head(b.get(part))}
                 break
-            for path, rel in moves:
+            for path, x, y in moves:
+                if max(abs(x), abs(y)) <= ROUNDING:
+                    record_rounding.append([part, list(path), x, y])
+                    continue
                 kind = field_kind(part, path)
+                rel = abs(x - y) / max(abs(x), abs(y))
                 record_worst[kind] = max(record_worst.get(kind, 0.0), rel)
         else:
             moved[name] = record_worst
+            if record_rounding:
+                rounding[name] = record_rounding
             for kind, rel in record_worst.items():
                 worst[kind] = max(worst.get(kind, 0.0), rel)
     return {"records": len(parent), "identical": identical, "moved": moved,
-            "worst_rel_by_kind": worst, "different": different}
+            "worst_rel_by_kind": worst, "rounding_level": rounding,
+            "different": different}
 
 
 def _head(text: bytes | None) -> str | None:
@@ -452,6 +483,10 @@ def main(argv=None) -> int:
           f"{len(report['different'])} different")
     for kind, rel in sorted(report["worst_rel_by_kind"].items()):
         print(f"  worst rel {kind}: {rel:.3g}")
+    for name, moves in report["rounding_level"].items():
+        for part, path, x, y in moves:
+            where = ".".join(str(p) for p in path)
+            print(f"  rounding level: {name} {part} {where}: {x:.3g} -> {y:.3g}")
     for name, diff in report["different"].items():
         print(f"  different: {name} ({diff['part']})")
     too_far = max(report["worst_rel_by_kind"].values(), default=0.0) > RTOL
