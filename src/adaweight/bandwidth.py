@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthGridError, DataError
+from .errors import BandwidthGridError, DataError, NumericalError
 from .estimators import Dataset
 from .weights import (
     FirstStepFit,
@@ -96,14 +96,17 @@ def default_grid(points: np.ndarray) -> np.ndarray:
     ``points`` are the ``(n, d)`` smoothing coordinates
     (:func:`adaweight.weights.smoothing_coordinates`).  The pilot is
     ``scale * n**(-1/(d+4))`` where ``scale`` is the root mean
-    per-coordinate variance of ``points``.
+    per-coordinate variance of ``points``.  Raises NumericalError when a
+    candidate's square would be 0 or not finite (see ``squared_bandwidth``).
     """
     n, d = points.shape
     scale = float(np.sqrt(np.mean(np.var(points, axis=0))))
-    if not scale > 0:
-        raise DataError("smoothing coordinates have zero spread")
     pilot = scale * n ** (-1.0 / (d + 4))
-    return np.geomspace(pilot / GRID_SPAN, pilot * GRID_SPAN, GRID_SIZE)
+    lo, hi = pilot / GRID_SPAN, pilot * GRID_SPAN
+    if not (lo * lo > 0 and hi * hi < np.inf):
+        raise NumericalError(f"smoothing coordinates have spread {scale:g}, so the default "
+                             "grid around it holds candidates whose squares are 0 or not finite")
+    return np.geomspace(lo, hi, GRID_SIZE)
 
 
 def _loo_scan(

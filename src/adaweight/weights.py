@@ -36,7 +36,8 @@ taken, so an offset of the covariates does not cost precision.
 Coordinates with one column (``"sp-index"`` always, ``"np"`` and
 ``"sp-proj"`` at q = 1) take the sorted path of :func:`window_sums`, which
 cross-validation shares; the smoother adds the self term, K(0) = 1, to its
-sums of g2 and g1.  One sort makes every window a range of sorted rows.
+sums of g2 and g1.  Its points must be finite (NumericalError otherwise).
+One sort makes every window a range of sorted rows.
 The window of point i is every j != i with (z_j - z_i)**2 < h^2, the
 difference formed directly, so a neighbour at distance exactly h is out;
 each edge is found by a search at z_i -/+ h and then moved over whole runs
@@ -171,21 +172,23 @@ def smoothing_coordinates(
     Returns an ``(n, d)`` array: the raw covariates for ``"np"``, the scalar
     index for ``"sp-index"``, or ``A x`` with ``A = P + eps*I`` for
     ``"sp-proj"``, whose caller chooses ``eps`` (the default is
-    :func:`epsilon_perturbation`).
+    :func:`epsilon_perturbation`).  Raises NumericalError if the points are not finite.
     """
     if mode not in MODES:
         raise DataError(f"unknown smoothing mode {mode!r}")
     if mode == "np":
         return data.x
     if mode == "sp-index":
-        slope = fs.slope
-        if not np.any(slope != 0.0):
+        if not np.any(fs.slope != 0.0):
             raise IndexDegenerateError("first-step slope vector is zero")
-        return (data.x @ slope).reshape(-1, 1)
-    if eps is None or eps < 0:
+        points = (data.x @ fs.slope).reshape(-1, 1)
+    elif eps is None or eps < 0:
         raise DataError(f"sp-proj smoothing needs a nonnegative eps, got {eps}")
-    a_mat = projector(fs.slope) + eps * np.eye(data.q)
-    return data.x @ a_mat
+    else:
+        points = data.x @ (projector(fs.slope) + eps * np.eye(data.q))
+    if not np.isfinite(points).all():
+        raise NumericalError(f"{mode} smoothing coordinates are not finite; they overflowed")
+    return points
 
 
 def pairwise_sq_dists(
@@ -300,18 +303,12 @@ def window_sums(z: np.ndarray, columns, h2s):
     with (z_j - z_i)**2 < h2.  Yields ``(k, sums)`` for each h2 of ``h2s``
     in turn: ``k[i]`` counts the points in the window of i, and
     ``sums[c][i]`` is S_c - S_dc / h2, where S_c and S_dc sum c_j and
-    (z_j - z_i)**2 c_j over that window, for each of the ``columns``.  A
-    point that is not finite is in no window, and its sums are NaN.  The
-    module docstring describes the method.
+    (z_j - z_i)**2 c_j over that window, for each of the ``columns``.  Every
+    point must be finite (NumericalError otherwise).  The module docstring
+    describes the method.
     """
-    finite = np.isfinite(z)
-    if not finite.all():
-        for k, sums in window_sums(z[finite], [np.asarray(c)[finite] for c in columns], h2s):
-            k_all = np.zeros(z.size, dtype=np.int64)
-            sums_all = np.full((len(columns), z.size), np.nan)
-            k_all[finite], sums_all[:, finite] = k, sums
-            yield k_all, sums_all
-        return
+    if not np.isfinite(z).all():
+        raise NumericalError("smoothing coordinates are not finite")
     order = np.argsort(z, kind="stable")
     zs = z[order]
     cols = np.column_stack(columns)[order]

@@ -11,6 +11,7 @@ from adaweight import (
     Dataset,
     EpanechnikovKernel,
     LossFunction,
+    NumericalError,
     cv_bandwidth,
     default_grid,
     epsilon_perturbation,
@@ -297,6 +298,15 @@ class TestDefaultGrid:
         grid = default_grid(smoothing_coordinates(d, fs, "np"))
         ratios = grid[1:] / grid[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 0.0])
+    def test_spread_whose_grid_cannot_be_squared_raises(self, scale):
+        # the variance overflows at 1e160 and underflows to 0 at 1e-170
+        points = np.random.default_rng(84).normal(size=(100, 2)) * scale
+        with np.errstate(over="ignore", under="ignore"):
+            with pytest.raises(NumericalError, match="smoothing coordinates have spread") as info:
+                default_grid(points)
+        assert type(info.value) is NumericalError
 
 
 def dense_loo_criterion(points, e2, grid):

@@ -774,7 +774,9 @@ def test_bandwidth_with_overflowing_square_is_input_error(
     (["--weights", "np", "--bandwidth", "3"], 3),
     (["--weights", "np"], 3),
     (["--weights", "sp-index", "--bandwidth", "3"], 3),
+    (["--weights", "sp-index"], 3),
     (["--weights", "sp-proj", "--bandwidth", "3"], 3),
+    (["--weights", "sp-proj"], 3),
     (["--weights", "constant"], 3),
     (["--weights", "constant", "--loss", "power:1.5"], 3),
     (["--weights", "constant", "--loss", "huber:1.345"], 0),
@@ -791,6 +793,30 @@ def test_overflowing_square_is_numerical_error(capsys, tmp_path, flags, code):
     if code == 3:
         assert out == ""
         assert json.loads(err)["error"] == "numerical"
+
+
+@pytest.mark.parametrize("sample, flags", [
+    ("overflow", ["--weights", "sp-index"]),  # the index's variance overflows
+    ("overflow", ["--weights", "sp-proj"]),  # |b|^2 overflows: NaN coordinates
+    ("q1", ["--weights", "sp-proj", "--epsilon", "1e300"]),
+    ("q2", ["--weights", "sp-proj", "--epsilon", "1e300"]),
+    ("y1e-170", ["--weights", "sp-index"]),  # the index's variance underflows to 0
+])
+def test_failing_smoothing_input_is_numerical_error(capsys, tmp_path, sample, flags):
+    # valid input and no bandwidth given: the smoothing coordinates, or the
+    # default grid around their spread, fail in floating point
+    path = tmp_path / "data.csv"
+    if sample == "overflow":
+        path.write_text(OVERFLOW_CSV)
+    else:
+        d = generate_sample(150, 1 if sample == "q1" else 2, "disc", replication_rng(9, 0))[0]
+        write_csv(str(path), Dataset(y=d.y * (1e-170 if sample == "y1e-170" else 1.0), x=d.x))
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), *flags)
+    assert (code, out) == (3, "")
+    report = json.loads(err)
+    assert report["error"] == "numerical"
+    assert "smoothing coordinates" in report["message"]
+    assert "bandwidth" not in report["message"]
 
 
 def test_simulate_bandwidth_with_underflowing_square_is_input_error(capsys, tmp_path):

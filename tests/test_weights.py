@@ -323,6 +323,24 @@ class TestSpIndexWeights:
             sp_index_weights(d, SQUARE, fs, h=1.0)
 
 
+class TestSmoothingCoordinates:
+    X = np.array([[10.0, 10.0], [10.0, -10.0], [1.0, 2.0], [-3.0, 0.5]])
+
+    @pytest.mark.parametrize("mode, slope, eps", [
+        ("sp-index", [1e308, 1e308], None),  # x @ b overflows to inf, and to inf - inf
+        ("sp-proj", [1.0, 2.0], np.inf),
+        ("sp-proj", [1e160, 2e160], 0.1),  # |b|^2 overflows, so the projector is NaN
+    ])
+    def test_coordinates_that_are_not_finite_raise(self, mode, slope, eps):
+        d = Dataset(y=np.zeros(4), x=self.X)
+        fs = FirstStepFit(beta=np.array([0.0, *slope]), residuals=np.ones(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=f"{mode} smoothing coordinates are not "
+                               "finite") as info:
+                smoothing_coordinates(d, fs, mode, eps)
+        assert type(info.value) is NumericalError
+
+
 class TestProjector:
     def test_axis_vector(self):
         assert np.array_equal(projector(np.array([1.0, 0.0])), [[1.0, 0.0], [0.0, 0.0]])
@@ -696,13 +714,11 @@ class TestWindowSums:
         np.testing.assert_allclose(s, [[0.0, 1 - 1 / 2.25], [0.0, 2 * (1 - 1 / 2.25)],
                                        [0.0, 1 - 1 / 2.25]], rtol=1e-15)
 
-    def test_point_that_is_not_finite_is_in_no_window(self):
-        z = np.array([0.0, np.nan, 0.5, np.inf, 1.0, -np.inf])
-        c = np.arange(1.0, 7.0)
-        k, (s,) = stacked_window_sums(z, [c], [1.0])
-        assert np.array_equal(k[:, 0], [1, 0, 2, 0, 1, 0])
-        assert np.all(np.isnan(s[[1, 3, 5], 0]))
-        np.testing.assert_allclose(s[[0, 2, 4], 0], [0.75 * 3, 0.75 * 1 + 0.75 * 5, 0.75 * 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_point_that_is_not_finite_raises(self, bad):
+        z = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(NumericalError, match="smoothing coordinates are not finite"):
+            next(window_sums(z, [np.ones(4)], [1.0]))
 
     @pytest.mark.parametrize("design", ["smooth", "cluster-and-outliers"])
     def test_memory_stays_linear_at_n_20000(self, design):

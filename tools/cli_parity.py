@@ -20,8 +20,11 @@ listed as different.  A number whose two sides are both at most
 ``ROUNDING`` (1e-15) in magnitude moved at rounding level: such moves are
 listed by record and path, apart from the others, and no relative bound
 applies to them (a certificate going from 0 to 2.8e-17 is not a move of
-rel 1).  The exit status is 0 when no record differs and no other number
-moved by more than ``RTOL`` (rel 1e-12), else 1.
+rel 1).  A ``solver.gradient_norm`` of two converged fits whose sides are
+both at most ``CERTIFICATE_TOL`` (1e-10, the solver's ``estimators.TOL``) is
+listed apart by record too: below that tolerance the certificate moves with
+the last bits of the weights.  The exit status is 0 when no record differs
+and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
 The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; ``q2.csv`` with every covariate shifted by +1e4 under the constant,
@@ -45,11 +48,15 @@ three ``power:1.2`` np fits there put g2 = inf into the kernel sums; a
 ``power:1.2`` fit on ``five_rows_q3.csv`` meets an infinite curvature too.  On
 ``constant.csv``, whose covariate is constant so the first step fails, five
 fits carry a malformed flag that only their route uses.  On
-``overflow.csv``, whose residuals are about 1e160, seven fits square them
-past the float range (all but the huber one fail).  On ``exact_fit.csv``,
+``overflow.csv``, whose residuals are about 1e160, nine fits square them
+past the float range (all but the huber one fail; by CV, the sp-index spread
+and the sp-proj coordinates overflow too).  ``q2.csv`` with y scaled by
+1e-170 is fitted by np, sp-index and sp-proj with CV: its squared residuals,
+index spread and squared slope underflow.  On ``exact_fit.csv``,
 whose first step fits exactly, six kernel fits meet a zero first-step score
-everywhere.  Five fits probe bandwidths whose square underflows or is
-subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300; one study
+everywhere.  Seven fits probe bandwidths whose square underflows or is
+subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300 (at h = 1,
+and by CV on ``q1.csv`` and ``q2.csv``, where the spread overflows); one study
 has a bandwidth whose square underflows, one a bandwidth whose square is
 subnormal, and one asks for 64 workers for three replications.  In the
 n = 6 ``power:1.2`` study the first step of replication 148 fails, and one
@@ -97,14 +104,17 @@ FIVE_ROWS_Q3_CSV = (
 UNWRITABLE_OUT = "out/unwritable"
 RTOL = 1e-12  # largest relative move of a number that passes
 ROUNDING = 1e-15  # both sides at most this in magnitude: a rounding-level move
+#: ``adaweight.estimators.TOL``: a converged fit's gradient norm is at most
+#: this, and below it the norm moves with the last bits of the weights.
+CERTIFICATE_TOL = 1e-10
 
 
-def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0) -> str:
+def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0, y_scale: float = 1.0) -> str:
     """A heteroscedastic linear sample with 17-digit cells, covariates shifted by ``shift``."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, q))
     sigma = 0.5 + np.abs(x[:, 0]) + 0.25 * x[:, -1] ** 2
-    y = 1.0 + x @ np.linspace(1.0, -0.5, q) + sigma * rng.normal(size=n)
+    y = (1.0 + x @ np.linspace(1.0, -0.5, q) + sigma * rng.normal(size=n)) * y_scale
     x = x + shift
     lines = [",".join(["y"] + [f"x{j + 1}" for j in range(q)])]
     lines += [",".join(format(v, ".17g") for v in (y[i], *x[i])) for i in range(n)]
@@ -201,6 +211,9 @@ def command_set() -> list[tuple[str, list[str]]]:
         "power1000": q2 + ["--loss", "power:1000"],
         "sp-proj-eps1e300-h1": q2 + ["--weights", "sp-proj", "--epsilon", "1e300",
                                      "--bandwidth", "1"],
+        "sp-proj-eps1e300-cv-q1": ["fit", "--data", "data/q1.csv", "--weights", "sp-proj",
+                                   "--epsilon", "1e300"],
+        "sp-proj-eps1e300-cv-q2": q2 + ["--weights", "sp-proj", "--epsilon", "1e300"],
         "err-bandwidth": q2 + ["--weights", "np", "--bandwidth", "abc"],
         "err-huber": q2 + ["--loss", "huber:x"],
         "err-loss": q2 + ["--loss", "cauchy"],
@@ -228,6 +241,8 @@ def command_set() -> list[tuple[str, list[str]]]:
             more[f"lattice-q1/{route}-h{h}"] = ["fit", "--data", "data/lattice_q1.csv",
                                                "--weights", route, "--bandwidth", h]
     more["n5000-sp-index-cv"] = ["fit", "--data", "data/q2_n5000.csv", "--weights", "sp-index"]
+    for route in ("np", "sp-index", "sp-proj"):
+        more[f"y1e-170/{route}-cv"] = ["fit", "--data", "data/q2_y1e-170.csv", "--weights", route]
     for h in ("0.5", "3", "100"):
         more[f"zero-residual-power1.2-np-h{h}"] = [
             "fit", "--data", "data/zero_residual.csv", "--loss", "power:1.2",
@@ -245,7 +260,9 @@ def command_set() -> list[tuple[str, list[str]]]:
         "np-h3": ["--weights", "np", "--bandwidth", "3"],
         "np-cv": ["--weights", "np"],
         "sp-index-h3": ["--weights", "sp-index", "--bandwidth", "3"],
+        "sp-index-cv": ["--weights", "sp-index"],
         "sp-proj-h3": ["--weights", "sp-proj", "--bandwidth", "3"],
+        "sp-proj-cv": ["--weights", "sp-proj"],
         "constant-square": ["--weights", "constant"],
         "constant-power1.5": ["--weights", "constant", "--loss", "power:1.5"],
         "constant-huber1.345": ["--weights", "constant", "--loss", "huber:1.345"],
@@ -322,6 +339,8 @@ def write_inputs(root: str) -> None:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, shift=1e4))
     with open(os.path.join(data, "q2_n5000.csv"), "w", newline="") as handle:
         handle.write(fit_csv_text(2, 5000, seed=5))
+    with open(os.path.join(data, "q2_y1e-170.csv"), "w", newline="") as handle:
+        handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, y_scale=1e-170))
     with open(os.path.join(data, "lattice_q1.csv"), "w", newline="") as handle:
         handle.write(lattice_csv_text(200, seed=11))
     os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
@@ -414,7 +433,7 @@ def numeric_moves(a, b, path=()):
 
 
 def compare(parent: dict, change: dict) -> dict:
-    identical, moved, different, rounding = [], {}, {}, {}
+    identical, moved, different, rounding, certificate = [], {}, {}, {}, {}
     worst: dict[str, float] = {}
     for name in parent:
         a, b = parent[name], change[name]
@@ -422,7 +441,7 @@ def compare(parent: dict, change: dict) -> dict:
             identical.append(name)
             continue
         record_worst: dict[str, float] = {}
-        record_rounding = []
+        record_rounding, record_certificate = [], []
         for part in sorted(set(a) | set(b)):
             if a.get(part) == b.get(part):
                 continue
@@ -430,7 +449,8 @@ def compare(parent: dict, change: dict) -> dict:
             if part in ("stdout", "stderr", "errors.csv", "summary.json") and a.get(part) \
                     and b.get(part) and a["exit"] == b["exit"]:
                 try:
-                    moves = numeric_moves(parse(part, a[part]), parse(part, b[part]))
+                    parsed = parse(part, a[part])
+                    moves = numeric_moves(parsed, parse(part, b[part]))
                 except ValueError:
                     moves = None
             if moves is None:
@@ -438,21 +458,26 @@ def compare(parent: dict, change: dict) -> dict:
                                    "change": _head(b.get(part))}
                 break
             for path, x, y in moves:
-                if max(abs(x), abs(y)) <= ROUNDING:
+                size = max(abs(x), abs(y))
+                if size <= ROUNDING:
                     record_rounding.append([part, list(path), x, y])
-                    continue
-                kind = field_kind(part, path)
-                rel = abs(x - y) / max(abs(x), abs(y))
-                record_worst[kind] = max(record_worst.get(kind, 0.0), rel)
+                elif size <= CERTIFICATE_TOL and part == "stdout" \
+                        and path == ("solver", "gradient_norm") and parsed["solver"]["converged"]:
+                    record_certificate.append([x, y])  # equal flags, so both converged
+                else:
+                    kind = field_kind(part, path)
+                    record_worst[kind] = max(record_worst.get(kind, 0.0), abs(x - y) / size)
         else:
             moved[name] = record_worst
             if record_rounding:
                 rounding[name] = record_rounding
+            if record_certificate:
+                certificate[name] = record_certificate
             for kind, rel in record_worst.items():
                 worst[kind] = max(worst.get(kind, 0.0), rel)
     return {"records": len(parent), "identical": identical, "moved": moved,
             "worst_rel_by_kind": worst, "rounding_level": rounding,
-            "different": different}
+            "converged_certificate": certificate, "different": different}
 
 
 def _head(text: bytes | None) -> str | None:
@@ -487,6 +512,9 @@ def main(argv=None) -> int:
         for part, path, x, y in moves:
             where = ".".join(str(p) for p in path)
             print(f"  rounding level: {name} {part} {where}: {x:.3g} -> {y:.3g}")
+    for name, moves in report["converged_certificate"].items():
+        for x, y in moves:
+            print(f"  converged certificate: {name} solver.gradient_norm: {x:.3g} -> {y:.3g}")
     for name, diff in report["different"].items():
         print(f"  different: {name} ({diff['part']})")
     too_far = max(report["worst_rel_by_kind"].values(), default=0.0) > RTOL
