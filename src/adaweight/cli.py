@@ -44,8 +44,9 @@ from .weights import (
 
 WEIGHT_ROUTES = ("constant", "parametric", *MODES, "oracle")
 
-#: Most --cv-grid candidates: the CV scan keeps sums per (row, candidate), so
-#: its memory grows with the count (a 40 MB tracemalloc peak at 1000, n = 2000).
+#: Most --cv-grid candidates: over two or more smoothing columns the CV scan
+#: keeps sums per (row, candidate), so its memory grows with the count (a 40 MB
+#: tracemalloc peak at 1000, n = 2000); the sorted path scores one at a time in O(n).
 MAX_GRID_COUNT = 1000
 
 

@@ -39,9 +39,11 @@ cross-validation shares; the smoother adds the self term, K(0) = 1, to its
 sums of g2 and g1.  Its points must be finite (NumericalError otherwise).
 One sort makes every window a range of sorted rows.
 The window of point i is every j != i with (z_j - z_i)**2 < h^2, the
-difference formed directly, so a neighbour at distance exactly h is out;
-each edge is found by a search at z_i -/+ h and then moved over whole runs
-of tied values until that predicate holds exactly.  The sorted rows are cut
+difference formed directly, so a neighbour at distance exactly h is out.
+The right edge is found by a search at z_i + h and then moved over whole
+runs of tied values until that predicate holds exactly; the predicate is
+symmetric, as fl(a - b) = -fl(b - a), so the left edge of i is the first
+row whose right edge passes i.  The sorted rows are cut
 into segments, each starting at the first row outside the window of the
 previous start: the rows of a segment lie within h of its first point and
 of each other, and a window covers the tail of the segment before its own,
@@ -192,17 +194,13 @@ def smoothing_coordinates(
 
 
 def pairwise_sq_dists(
-    rows: np.ndarray, points: np.ndarray | None = None, out: np.ndarray | None = None
+    rows: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared Euclidean distances from each of ``rows`` to each of ``points``.
 
-    ``points`` defaults to ``rows``, which gives the dense symmetric matrix.
-    With ``out`` (shape ``(len(rows), len(points))``) the distances are
-    written there.  The sum |a|^2 + |b|^2 is formed before the product a.b
-    is subtracted, which keeps the dense matrix exactly symmetric; the
-    product is the one temporary of the result's shape.
+    With ``out`` (shape ``(len(rows), len(points))``) they are written there;
+    the product a.b is the one temporary of that shape.
     """
-    points = rows if points is None else points
     d2 = np.add.outer(np.sum(rows**2, axis=1), np.sum(points**2, axis=1), out=out)
     d2 -= (2.0 * rows) @ points.T
     return np.clip(d2, 0.0, None, out=d2)
@@ -237,10 +235,11 @@ def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
 def _right_edges(zs: np.ndarray, h2: float) -> np.ndarray:
     """First sorted row past the right end of each row's window.
 
-    The window predicate (zs[j] - zs[i])**2 < h2 is written here only.  A
-    search at zs + sqrt(h2) lands within rounding of each edge, which then
-    moves by whole runs of tied values until the predicate holds exactly:
-    in on the row before the edge and out at it (row n is out).
+    The window predicate (zs[j] - zs[i])**2 < h2 is written here only, in the
+    one edge search of :func:`window_sums`.  A search at zs + sqrt(h2) lands
+    within rounding of each edge, which then moves by whole runs of tied
+    values until the predicate holds exactly: in on the row before the edge
+    and out at it (row n is out).
     """
     n = zs.size
     padded = np.append(zs, np.inf)
@@ -316,7 +315,7 @@ def window_sums(z: np.ndarray, columns, h2s):
     rows = np.arange(n)
     for h2 in h2s:
         hi = _right_edges(zs, h2)
-        lo = n - _right_edges(-zs[::-1], h2)[::-1]
+        lo = np.searchsorted(hi, rows, side="right")  # the first row whose window reaches i
         starts = _segment_starts(hi)
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
         first, stop = starts[seg], np.append(starts, n)[seg + 1]

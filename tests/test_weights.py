@@ -105,7 +105,7 @@ class TestPairwiseSqDists:
     def test_row_block_matches_dense_matrix(self):
         rng = np.random.default_rng(49)
         points = rng.normal(size=(30, 3))
-        dense = pairwise_sq_dists(points)
+        dense = pairwise_sq_dists(points, points)
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) <= 1e-12)
         block = pairwise_sq_dists(points[5:12], points)
@@ -713,6 +713,22 @@ class TestWindowSums:
         assert np.array_equal(k, [[0, 1], [0, 2], [0, 1]])
         np.testing.assert_allclose(s, [[0.0, 1 - 1 / 2.25], [0.0, 2 * (1 - 1 / 2.25)],
                                        [0.0, 1 - 1 / 2.25]], rtol=1e-15)
+
+    @pytest.mark.parametrize("z, h2", [
+        # z + h rounds to z, so the search stops short of the tie, which the
+        # forward fix-up pulls in
+        ([1e16, 1e16, 1e16 + 2], 1.0),
+        # the rounded search at z + h lands past the neighbour although
+        # (z_j - z_i)**2 >= h2, and the back fix-up moves the edge in
+        ([-72.40638542660894, 57.60791890079838], 16903.719329739688),
+    ], ids=["forward-fix-up", "back-fix-up"])
+    def test_edges_that_the_search_misses_are_fixed_up(self, z, h2):
+        z = np.array(z)
+        columns = [np.ones(z.size), np.arange(1.0, z.size + 1)]
+        k, sums = stacked_window_sums(z, columns, [h2])
+        ref_k, ref_sums = dense_window_sums(z, columns, [h2])
+        assert np.array_equal(k, ref_k)
+        np.testing.assert_allclose(sums, ref_sums, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_point_that_is_not_finite_raises(self, bad):

@@ -30,9 +30,14 @@ The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
 routes; ``q2.csv`` with every covariate shifted by +1e4 under the constant,
 np and sp-proj routes (a shift that still makes the first step's moment
 matrix singular); a q = 1 integer lattice with ties, fitted by sp-index and
-np at ``--bandwidth 1`` (np puts neighbours at exactly h) and by CV, and an
-n = 5000 sp-index CV fit, whose sorted one-dimensional path crosses many
-segments; fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
+np at ``--bandwidth 1`` (np puts neighbours at exactly h) and by CV, and by
+np at ``--bandwidth 2e-162``, whose square is the least subnormal, so the
+sorted path's search stops short of the tied rows and the forward fix-up
+pulls them in; ``q1.csv`` by np at ``--bandwidth 0.5000688122609995``, the
+rounded difference of two of its points, where the search at z + h lands
+past the farther one and the back fix-up moves the edge in; an n = 5000
+sp-index CV fit, whose sorted one-dimensional path crosses many segments;
+fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
 (200- and 1000-point grids among them, and a refused 1001-point one);
 bandwidth extremes; input errors; malformed and unusual CSV files (a repeated ``y``
 column, and non-finite cells: ``nan``, ``inf``, ``1e999``, which overflows,
@@ -240,6 +245,10 @@ def command_set() -> list[tuple[str, list[str]]]:
         for h in ("1", "cv"):
             more[f"lattice-q1/{route}-h{h}"] = ["fit", "--data", "data/lattice_q1.csv",
                                                "--weights", route, "--bandwidth", h]
+    more["lattice-q1/np-h2e-162"] = ["fit", "--data", "data/lattice_q1.csv", "--weights", "np",
+                                     "--bandwidth", "2e-162"]
+    more["q1-np-h0.5000688122609995"] = ["fit", "--data", "data/q1.csv", "--weights", "np",
+                                         "--bandwidth", "0.5000688122609995"]
     more["n5000-sp-index-cv"] = ["fit", "--data", "data/q2_n5000.csv", "--weights", "sp-index"]
     for route in ("np", "sp-index", "sp-proj"):
         more[f"y1e-170/{route}-cv"] = ["fit", "--data", "data/q2_y1e-170.csv", "--weights", route]
