@@ -47,9 +47,9 @@ bins of row i.  A table on the
 leading bits of d2_ij (256 cells per power of two) finds the bin up to the
 candidates sharing a cell, one on the default grid, and a binary search
 settles those.  Rows go in blocks of BLOCK_ROWS
-(:func:`adaweight.weights.distance_blocks`, shared with the final
-smoother), so memory is O(BLOCK_ROWS * n); a scan costs O(n^2 + m log s)
-for m in-window pairs and s candidates per cell, with no sort.
+(:func:`adaweight.weights.distance_blocks`), so memory is
+O(BLOCK_ROWS * n); a scan costs O(n^2 + m log s) for m in-window pairs and
+s candidates per cell, with no sort.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _binned_windows(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
     start = np.searchsorted(h2s, (np.arange(c0, c1 + 1) << TABLE_SHIFT).view(float))
     depth = int(np.max(np.diff(start, append=g))).bit_length()
     h2pad = np.append(h2s, np.full(1 << depth, np.inf))
-    for block, d2 in distance_blocks(points, self_d2=np.inf):
+    for block, d2 in distance_blocks(points):
         r = d2.shape[0]
         flat = np.flatnonzero(d2 < h2s[-1])
         dist = d2.ravel()[flat]

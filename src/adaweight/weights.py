@@ -24,14 +24,34 @@ The kernel routes smooth with the Epanechnikov kernel whose dimension is
 that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
 ``"sp-index"``).  Kernel sums include the self term i == j; leave-one-out
 kernels appear only inside bandwidth cross-validation (see
-:mod:`adaweight.bandwidth`).  The smoother never holds an n x n matrix.  For
-coordinates with two or more columns it takes the rows in blocks of
-BLOCK_ROWS (:func:`distance_blocks`, shared with cross-validation), writes
-each block's squared distances to all n points into one ``(BLOCK_ROWS, n)``
-buffer, turns them into kernel values in place and reduces the block
-against g2 and g1 with two matrix-vector products, so its memory is
-O(BLOCK_ROWS * n).  The coordinates are centred before the distances are
-taken, so an offset of the covariates does not cost precision.
+:mod:`adaweight.bandwidth`).  The smoother never holds an n x n matrix.
+
+Coordinates with two or more columns take a sorted band
+(:func:`_band_sums`; Fan & Marron, *Fast implementations of nonparametric
+curve estimators*, JCGS 3(1), 1994).  The points are centred at their
+coordinate-wise median, so an offset of the covariates does not cost
+precision, projected on their principal axis and sorted once along it.  The
+sorted rows go in blocks of BLOCK_ROWS.  A block meets only the sorted
+columns from its own first row to the last one whose projection lies within
+a width w of the block's last row: it writes their squared distances
+(:func:`pairwise_sq_dists`) to one ``(BLOCK_ROWS, n)`` buffer, turns them
+into kernel values in place and adds their sums against g2 and g1 to its
+rows.  The kernel is symmetric, so the same values, mirrored, add the block's
+g2 and g1 to the columns past the block: each unordered pair is evaluated
+once, and a row's pairs with columns before its block come from the earlier
+blocks.  Projecting on a unit vector shrinks no distance, so a band of width
+h holds every pair within h.  Windows are still decided by the computed
+expansion d2 < h^2, which can fall below h^2 for a pair slightly farther
+apart: with R^2 the largest squared norm of the centred points, the
+expansion stays below 4 R^2 and within tol = 8 (q + 2) u R^2 of the true
+squared distance (u the machine epsilon, a margin of about four times the
+rounding bound), so the band's width w = sqrt(h^2 + tol) + sqrt(tol) covers
+it and the rounding of the projections, and no pair that a dense pass would
+count is skipped.  When 4 R^2 overflows, the expansion can give inf - inf
+for any pair, and the band holds every pair, as a dense pass would;
+otherwise the axis comes from the points scaled by a power of two, whose
+scatter matrix cannot overflow.  The cost is O(n * band width) and the
+memory O(BLOCK_ROWS * n).
 
 Coordinates with one column (``"sp-index"`` always, ``"np"`` and
 ``"sp-proj"`` at q = 1) take the sorted path of :func:`window_sums`, which
@@ -206,15 +226,14 @@ def pairwise_sq_dists(
     return np.clip(d2, 0.0, None, out=d2)
 
 
-def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
+def distance_blocks(points: np.ndarray):
     """Yield ``(block, d2)`` for consecutive blocks of BLOCK_ROWS rows.
 
     ``d2`` holds the squared distances from ``points[block]`` to every
     point.  It is a view of one buffer that the next block overwrites, so a
     caller may modify it in place but must not keep it.  Each point's
-    distance to itself is set to ``self_d2`` exactly: the expansion leaves a
-    rounding residue there that can exceed a tiny h^2 and drop the self
-    term.  Cross-validation passes +inf to leave the self term out.
+    distance to itself is +inf, so the self term is in no window: this is
+    the pair pass of leave-one-out cross-validation.
 
     The points are first centred at their coordinate-wise median, so the
     expansion in :func:`pairwise_sq_dists` loses no precision to an offset
@@ -228,8 +247,50 @@ def distance_blocks(points: np.ndarray, self_d2: float = 0.0):
         block = slice(start, min(start + BLOCK_ROWS, n))
         d2 = pairwise_sq_dists(points[block], points, out=buf[: block.stop - start])
         rows = np.arange(d2.shape[0])
-        d2[rows, rows + start] = self_d2
+        d2[rows, rows + start] = np.inf
         yield block, d2
+
+
+def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray:
+    """Kernel sums of each row of ``columns`` over every window, self term included.
+
+    ``points`` is ``(n, d)`` with d >= 2 and ``columns`` is ``(m, n)``;
+    returns the ``(m, n)`` sums over j of K((x_j - x_i) / h) c_j, taken in the
+    sorted band of the module docstring.
+    """
+    points = points - np.median(points, axis=0)
+    n, q = points.shape
+    top = float(np.max(np.sum(points**2, axis=1)))
+    if np.isfinite(4.0 * top):
+        # |a|^2 + |b|^2 - 2 a.b stays below 4 top and lies within tol of |a - b|^2
+        tol = 8.0 * (q + 2) * np.finfo(float).eps * top
+        scaled = np.ldexp(points, -np.frexp(np.sqrt(top))[1])  # norms below 1: no overflow
+        scaled -= scaled.mean(axis=0)
+        axis = np.linalg.eigh(scaled.T @ scaled)[1][:, -1]
+        proj = points @ axis
+        width = np.sqrt(h2 + tol) + np.sqrt(tol)
+    else:  # the expansion overflows, so every pair is visited, as by a dense pass
+        proj, width = np.zeros(n), np.inf
+    order = np.argsort(proj, kind="stable")
+    proj, points, columns = proj[order], points[order], columns[:, order]
+    starts = np.arange(0, n, BLOCK_ROWS)
+    stops = np.minimum(starts + BLOCK_ROWS, n)
+    ends = np.searchsorted(proj, proj[stops - 1] + width, side="right")
+    kernel = EpanechnikovKernel(q)
+    sums = np.zeros(columns.shape)
+    buf = np.empty(min(BLOCK_ROWS, n) * n)
+    for start, stop, end in zip(starts, stops, ends):
+        r, w = stop - start, end - start
+        d2 = pairwise_sq_dists(points[start:stop], points[start:end],
+                               out=buf[: r * w].reshape(r, w))
+        d2[np.arange(r), np.arange(r)] = 0.0  # the expansion leaves a residue there
+        d2 /= h2
+        k = kernel.profile(d2, out=d2)
+        sums[:, start:stop] += columns[:, start:end] @ k.T
+        sums[:, stop:end] += columns[:, start:stop] @ k[:, r:]  # the mirrored pairs
+    unsorted = np.empty_like(sums)
+    unsorted[:, order] = sums
+    return unsorted
 
 
 def _right_edges(zs: np.ndarray, h2: float) -> np.ndarray:
@@ -373,14 +434,7 @@ def _ratio_weights(
         _, (num, den) = next(window_sums(points[:, 0], [g2, g1], [h2]))
         num, den = num + g2, den + g1  # the self term, K(0) = 1
     else:
-        kernel = EpanechnikovKernel(points.shape[1])
-        num = np.empty(points.shape[0])
-        den = np.empty(points.shape[0])
-        for block, d2 in distance_blocks(points):
-            d2 /= h2
-            k = kernel.profile(d2, out=d2)
-            num[block] = k @ g2
-            den[block] = k @ g1
+        num, den = _band_sums(points, np.stack([g2, g1]), h2)
     top_num, top_den = float(np.max(num)), float(np.max(den))
     if not np.isfinite(top_den):  # an overflow, so checked before the numerators
         raise NumericalError("a smoothing denominator is not finite; a squared "

@@ -44,6 +44,7 @@ from adaweight.weights import (
     window_sums,
 )
 from adaweight.estimators import fit_weighted_m
+from adaweight import weights as weights_module
 
 SQUARE = LossFunction.square()
 
@@ -596,10 +597,19 @@ def dense_ratio_weights(points, loss, residuals, h):
 
 #: Slope and eps per route with exactly representable smoothing coordinates
 #: on integer covariates: an integer slope, and for sp-proj a dyadic eps.
+#: At q = 3 the slope gains a zero, so the sp-proj projector stays dyadic.
 LATTICE_GEOMETRIES = {
     "np": (np.array([0.0, 1.0, 1.0]), None),
     "sp-index": (np.array([0.0, 1.0, 2.0]), None),
     "sp-proj": (np.array([0.0, 1.0, 1.0]), 0.5),
+}
+
+#: Integer matrices whose rows are orthogonal with norm s, as (matrix, s): they
+#: turn the integer lattice off the coordinate axes and scale every distance
+#: by s exactly.
+LATTICE_ROTATIONS = {
+    2: (np.array([[3.0, -4.0], [4.0, 3.0]]), 5.0),
+    3: (np.array([[2.0, -2.0, 1.0], [1.0, 2.0, 2.0], [2.0, 1.0, -2.0]]), 3.0),
 }
 
 
@@ -610,30 +620,68 @@ def route_weights(mode, data, loss, fs, h, eps):
 
 
 class TestBlockedSmoother:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         mode=st.sampled_from(sorted(LATTICE_GEOMETRIES)),
-        n=st.sampled_from([3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+        q=st.sampled_from([2, 3]),
+        n=st.sampled_from([5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
         spread=st.integers(1, 4),
         isolated=st.integers(0, 3),
+        rotate=st.booleans(),
+        offset=st.integers(-10**6, 10**6),
         h=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 12).map(lambda k: k / 4)),
         loss=st.sampled_from([SQUARE, LossFunction.huber(1.345), LossFunction.power(1.5)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_reference(self, mode, n, spread, isolated, h, loss, seed):
+    def test_matches_dense_reference(self, mode, q, n, spread, isolated, rotate, offset, h,
+                                     loss, seed):
         # integer covariates on a small lattice repeat rows and put many
-        # neighbours at distance exactly h, where the kernel is zero
+        # neighbours at distance exactly h, where the kernel is zero.  The
+        # first lattice direction is three times as long, so it is the
+        # principal axis of the band; rotated, it lies off the coordinate
+        # axes, and the neighbours along it stay at exactly h (times s)
         rng = np.random.default_rng(seed)
-        x = rng.integers(-spread, spread + 1, size=(n, 2)).astype(float)
+        x = rng.integers(-spread, spread + 1, size=(n, q)).astype(float)
+        x[:, 0] *= 3.0
         x[: min(isolated, n)] += 100.0 * np.arange(1, min(isolated, n) + 1)[:, None]
+        if rotate:
+            turn, scale = LATTICE_ROTATIONS[q]
+            x, h = x @ turn.T, h * scale
         slope, eps = LATTICE_GEOMETRIES[mode]
-        data = Dataset(y=np.zeros(n), x=x)
+        slope = np.append(slope, np.zeros(q - 2))
+        data = Dataset(y=np.zeros(n), x=x + offset)
         fs = FirstStepFit(beta=slope, residuals=rng.normal(size=n))
         reference = dense_ratio_weights(
             smoothing_coordinates(data, fs, mode, eps), loss, fs.residuals, h
         )
         weights = route_weights(mode, data, loss, fs, h, eps)
         np.testing.assert_allclose(weights, reference, rtol=1e-12, atol=0.0)
+
+    def test_band_visits_fewer_than_half_the_pairs(self, monkeypatch):
+        # at the CV bandwidth a dense pass would hand all n^2 pairs to
+        # pairwise_sq_dists; the band along the principal axis hands about 0.37 n^2
+        data = generate_sample(2000, 2, "smooth", replication_rng(1, 0))[0]
+        fs = first_step(data, SQUARE)
+        h = cv_bandwidth(data, fs, "np").h_cv
+        pairs = []
+
+        def counting(rows, points, out=None):
+            pairs.append(rows.shape[0] * points.shape[0])
+            return pairwise_sq_dists(rows, points, out=out)
+
+        monkeypatch.setattr(weights_module, "pairwise_sq_dists", counting)
+        np_weights(data, SQUARE, fs, h)
+        assert 0 < sum(pairs) < 2000**2 / 2
+
+    def test_overflowing_coordinates_are_numerical_error(self):
+        # squared norms near 1e400 overflow, so the band visits every pair and
+        # the expansion's inf - inf reaches the denominators, as in a dense pass
+        rng = np.random.default_rng(47)
+        fs = FirstStepFit(beta=np.zeros(3), residuals=rng.normal(size=40))
+        points = 1e200 * rng.normal(size=(40, 2))
+        with pytest.raises(NumericalError, match="denominator is not finite") as info:
+            _ratio_weights(SQUARE, fs, 1.0, points)
+        assert type(info.value) is NumericalError
 
     def test_single_point_weight_is_pointwise_ratio(self):
         # n = 1 is below any Dataset, so this goes through the smoother itself
@@ -643,7 +691,7 @@ class TestBlockedSmoother:
         np.testing.assert_allclose(w, loss.g2(fs.residuals) / loss.g1(fs.residuals), rtol=1e-15)
 
     def test_memory_stays_in_row_blocks(self):
-        # the blocked smoother needs a few (BLOCK_ROWS, n) buffers, about
+        # the banded smoother needs a few (BLOCK_ROWS, n) buffers, at most
         # 8 MB here; one n x n float64 temporary (32 MB) breaks the bound
         rng = np.random.default_rng(45)
         d, _ = heteroscedastic_sample(rng, n=2000, q=2)

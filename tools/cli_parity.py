@@ -26,10 +26,12 @@ listed apart by record too: below that tolerance the certificate moves with
 the last bits of the weights.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set: three CSVs (q = 1, 2, 3) x four losses x seven weight
-routes; ``q2.csv`` with every covariate shifted by +1e4 under the constant,
-np and sp-proj routes (a shift that still makes the first step's moment
-matrix singular); a q = 1 integer lattice with ties, fitted by sp-index and
+The command set, 211 records: three CSVs (q = 1, 2, 3) x four losses x
+seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
+the constant, np and sp-proj routes (a shift that still makes the first
+step's moment matrix singular); a q = 2 integer lattice with ties, fitted
+by np and sp-proj at ``--bandwidth`` 0.5, 1 and 2 (np puts neighbours at
+exactly h) and by CV; a q = 1 integer lattice with ties, fitted by sp-index and
 np at ``--bandwidth 1`` (np puts neighbours at exactly h) and by CV, and by
 np at ``--bandwidth 2e-162``, whose square is the least subnormal, so the
 sorted path's search stops short of the tied rows and the forward fix-up
@@ -126,12 +128,13 @@ def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0, y_scale: float =
     return "\n".join(lines) + "\n"
 
 
-def lattice_csv_text(n: int, seed: int) -> str:
-    """A q = 1 sample whose covariate takes the integers -6..6, so values tie."""
+def lattice_csv_text(n: int, seed: int, q: int = 1) -> str:
+    """A sample whose q covariates take the integers -6..6, so values tie."""
     rng = np.random.default_rng(seed)
-    x = rng.integers(-6, 7, size=n)
-    y = 1.0 + 0.5 * x + (0.5 + np.abs(x) / 4) * rng.normal(size=n)
-    return "y,x1\n" + "".join(f"{v:.17g},{u}\n" for v, u in zip(y, x))
+    x = rng.integers(-6, 7, size=(n, q))
+    y = 1.0 + x @ np.linspace(0.5, -0.25, q) + (0.5 + np.abs(x[:, 0]) / 4) * rng.normal(size=n)
+    header = ",".join(["y"] + [f"x{j + 1}" for j in range(q)])
+    return header + "\n" + "".join(f"{v:.17g},{','.join(map(str, u))}\n" for v, u in zip(y, x))
 
 
 def ingest_cases() -> dict[str, bytes | None]:
@@ -245,6 +248,10 @@ def command_set() -> list[tuple[str, list[str]]]:
         for h in ("1", "cv"):
             more[f"lattice-q1/{route}-h{h}"] = ["fit", "--data", "data/lattice_q1.csv",
                                                "--weights", route, "--bandwidth", h]
+    for route in ("np", "sp-proj"):
+        for h in ("0.5", "1", "2", "cv"):
+            more[f"lattice-q2/{route}-h{h}"] = ["fit", "--data", "data/lattice_q2.csv",
+                                               "--weights", route, "--bandwidth", h]
     more["lattice-q1/np-h2e-162"] = ["fit", "--data", "data/lattice_q1.csv", "--weights", "np",
                                      "--bandwidth", "2e-162"]
     more["q1-np-h0.5000688122609995"] = ["fit", "--data", "data/q1.csv", "--weights", "np",
@@ -352,6 +359,8 @@ def write_inputs(root: str) -> None:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, y_scale=1e-170))
     with open(os.path.join(data, "lattice_q1.csv"), "w", newline="") as handle:
         handle.write(lattice_csv_text(200, seed=11))
+    with open(os.path.join(data, "lattice_q2.csv"), "w", newline="") as handle:
+        handle.write(lattice_csv_text(300, seed=12, q=2))
     os.makedirs(os.path.join(root, UNWRITABLE_OUT, "errors.csv"))
     for name, text in (("zero_residual", ZERO_RESIDUAL_CSV), ("constant", CONSTANT_CSV),
                        ("overflow", OVERFLOW_CSV), ("exact_fit", EXACT_FIT_CSV),
