@@ -39,17 +39,18 @@ and the choice are those of the pair scan, and the scores agree to
 rounding.  It costs O(G n log n) for G candidates and, scoring one
 candidate at a time, holds O(n) memory.
 
-Coordinates with two or more columns go through the pairs, with the self
-distance set to +inf so the self term is in no window.  Each pair inside
-the largest window is binned by the first candidate, in increasing h, whose
-window holds it, and the sums of every (i, h) are prefix sums over the G
-bins of row i.  A table on the
-leading bits of d2_ij (256 cells per power of two) finds the bin up to the
-candidates sharing a cell, one on the default grid, and a binary search
-settles those.  Rows go in blocks of BLOCK_ROWS
-(:func:`adaweight.weights.distance_blocks`), so memory is
-O(BLOCK_ROWS * n); a scan costs O(n^2 + m log s) for m in-window pairs and
-s candidates per cell, with no sort.
+Coordinates with two or more columns walk the pairs of the sorted band of
+:func:`adaweight.weights.sorted_band` at the largest candidate, each pair
+once (two rows of one block from the first, so the self term is in no
+window).  A pair inside the largest window is binned by the first candidate,
+in increasing h, whose window holds it, and added to the (row, bin) sums of
+both its points; the sums of every (i, h) are prefix sums over the G bins of
+row i.  A table on the leading bits of d2_ij (256 cells per power of two)
+finds the bin up to the candidates sharing a cell, one on the default grid,
+and a binary search settles those.  A block's rows are scored once the walk
+passes them, so sums are kept only for the b rows the band still reaches: a
+scan costs O(n b + m log s) for m in-window pairs and s candidates per cell,
+and holds O((BLOCK_ROWS + G) b) memory for G <= GRID_CHUNK per walk.
 """
 
 from __future__ import annotations
@@ -60,13 +61,8 @@ import numpy as np
 
 from .errors import BandwidthGridError, DataError, NumericalError
 from .estimators import Dataset
-from .weights import (
-    FirstStepFit,
-    distance_blocks,
-    smoothing_coordinates,
-    squared_bandwidth,
-    window_sums,
-)
+from .weights import (FirstStepFit, smoothing_coordinates, sorted_band, squared_bandwidth,
+                      window_sums)
 
 #: Minimum fraction of evaluable leave-one-out terms for a candidate.
 MIN_VALID_FRACTION = 0.8
@@ -78,6 +74,9 @@ GRID_SPAN = 4.0
 #: Right shift of a squared distance's bits that leaves its exponent and 8
 #: mantissa bits: the bin table has 256 cells per power of two.
 TABLE_SHIFT = 44
+
+#: Candidates per walk of the band, which keeps sums per (row, candidate).
+GRID_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,10 @@ def _loo_scan(
         for g, (k, (mass, s_e)) in enumerate(window_sums(points[:, 0], [np.ones(n), e2], h2s)):
             sq_err[g], evaluable[g] = _loo_terms(e2, k, mass, s_e)
     else:
-        for block, k, (mass, s_e) in _binned_windows(points, e2, h2s):
-            sq, ev = _loo_terms(e2[block, None], k, mass, s_e)
-            sq_err += sq
-            evaluable += ev
+        for chunk in (slice(lo, lo + GRID_CHUNK) for lo in range(0, h2s.size, GRID_CHUNK)):
+            for sq, ev in _band_terms(points, e2, h2s[chunk]):
+                sq_err[chunk] += sq
+                evaluable[chunk] += ev
     return sq_err[where] / n, evaluable[where] / n
 
 
@@ -135,9 +134,8 @@ def _loo_terms(e2, k, mass, s_e):
     return np.sum((e2 - predicted) ** 2, axis=0), np.sum(valid, axis=0)
 
 
-def _binned_windows(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
-    """Yield ``(block, k, (mass, s_e))`` per block of rows, from the pair bins."""
-    n = points.shape[0]
+def _band_terms(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
+    """Yield the :func:`_loo_terms` of each block of sorted rows, from the pair bins."""
     g = h2s.size
     # table cell c: leading bits c0 + c (lower ones in cell 0), start[c]
     # candidates below it; h2pad pads the binary search within a cell
@@ -145,25 +143,40 @@ def _binned_windows(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
     start = np.searchsorted(h2s, (np.arange(c0, c1 + 1) << TABLE_SHIFT).view(float))
     depth = int(np.max(np.diff(start, append=g))).bit_length()
     h2pad = np.append(h2s, np.full(1 << depth, np.inf))
-    for block, d2 in distance_blocks(points):
-        r = d2.shape[0]
-        flat = np.flatnonzero(d2 < h2s[-1])
-        dist = d2.ravel()[flat]
+
+    def scatter(sums, at, ec, dist):
+        """Add the counts and the sums of e2, d2 and d2 e2 at (row, bin) ``at`` to ``sums``."""
+        for s, w in zip(sums, (None, ec, dist, ec * dist)):
+            s += np.bincount(at, weights=w, minlength=s.size)
+
+    order, blocks = sorted_band(points, h2s[-1])
+    e2 = e2[order]
+    sums = np.zeros((4, 0))  # (row, bin) sums of the rows from lo that the walk has reached
+    for lo, d2 in blocks:
+        r, w = d2.shape
+        sums = np.concatenate([sums, np.zeros((4, w * g - sums.shape[1]))], axis=1)
+        inside = d2 < h2s[-1]
+        inside[:, :r] &= ~np.tri(r, dtype=bool)  # a pair within the block from its first row
+        counts = np.count_nonzero(inside, axis=1)
+        col = np.flatnonzero(inside)
+        del inside
+        dist = d2.ravel()[col]
+        col -= np.repeat(np.arange(r) * w, counts)
         cell = dist.view(np.int64) >> TABLE_SHIFT
         cell -= c0
         cell = start[np.maximum(cell, 0, out=cell)]
         for step in (1 << b for b in reversed(range(depth))):
             np.add(cell, step, out=cell, where=dist >= h2pad[step - 1:][cell])
-        cell += flat // n * g  # (row, bin) in row-major order
-        flat %= n  # the columns
-        ec = e2[flat]
-        del flat
-        sums = [np.bincount(cell, weights=w, minlength=r * g) for w in (None, ec, dist)]
-        ec *= dist
-        sums.append(np.bincount(cell, weights=ec, minlength=r * g))
-        del dist, cell, ec
-        k, s_e, s_d, s_de = (np.cumsum(s.reshape(r, g), axis=1) for s in sums)
-        yield block, k, (k - s_d / h2s, s_e - s_de / h2s)
+        ec = e2[lo:][col]
+        col *= g
+        col += cell
+        cell += np.repeat(np.arange(0, r * g, g), counts)
+        scatter(sums[:, : r * g], cell, ec, dist)  # each pair to its row
+        del cell, ec
+        scatter(sums, col, np.repeat(e2[lo:lo + r], counts), dist)  # and to its column
+        k, s_e, s_d, s_de = np.cumsum(sums[:, : r * g].reshape(4, r, g), axis=2)
+        yield _loo_terms(e2[lo:lo + r, None], k, k - s_d / h2s, s_e - s_de / h2s)
+        sums = sums[:, r * g:]
 
 
 def cv_bandwidth(

@@ -45,8 +45,9 @@ from .weights import (
 WEIGHT_ROUTES = ("constant", "parametric", *MODES, "oracle")
 
 #: Most --cv-grid candidates: over two or more smoothing columns the CV scan
-#: keeps sums per (row, candidate), so its memory grows with the count (a 40 MB
-#: tracemalloc peak at 1000, n = 2000); the sorted path scores one at a time in O(n).
+#: walks its band once per 256 candidates, keeping sums per (row, candidate) for
+#: the rows the band reaches (a 24 MB tracemalloc peak and four walks at 1000,
+#: n = 2000); the sorted path scores one at a time in O(n).
 MAX_GRID_COUNT = 1000
 
 

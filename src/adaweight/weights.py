@@ -26,32 +26,29 @@ that of the smoothing coordinates (q for ``"np"`` and ``"sp-proj"``, 1 for
 kernels appear only inside bandwidth cross-validation (see
 :mod:`adaweight.bandwidth`).  The smoother never holds an n x n matrix.
 
-Coordinates with two or more columns take a sorted band
-(:func:`_band_sums`; Fan & Marron, *Fast implementations of nonparametric
-curve estimators*, JCGS 3(1), 1994).  The points are centred at their
-coordinate-wise median, so an offset of the covariates does not cost
-precision, projected on their principal axis and sorted once along it.  The
-sorted rows go in blocks of BLOCK_ROWS.  A block meets only the sorted
-columns from its own first row to the last one whose projection lies within
-a width w of the block's last row: it writes their squared distances
-(:func:`pairwise_sq_dists`) to one ``(BLOCK_ROWS, n)`` buffer, turns them
-into kernel values in place and adds their sums against g2 and g1 to its
-rows.  The kernel is symmetric, so the same values, mirrored, add the block's
-g2 and g1 to the columns past the block: each unordered pair is evaluated
-once, and a row's pairs with columns before its block come from the earlier
-blocks.  Projecting on a unit vector shrinks no distance, so a band of width
-h holds every pair within h.  Windows are still decided by the computed
-expansion d2 < h^2, which can fall below h^2 for a pair slightly farther
-apart: with R^2 the largest squared norm of the centred points, the
-expansion stays below 4 R^2 and within tol = 8 (q + 2) u R^2 of the true
-squared distance (u the machine epsilon, a margin of about four times the
-rounding bound), so the band's width w = sqrt(h^2 + tol) + sqrt(tol) covers
-it and the rounding of the projections, and no pair that a dense pass would
-count is skipped.  When 4 R^2 overflows, the expansion can give inf - inf
-for any pair, and the band holds every pair, as a dense pass would;
-otherwise the axis comes from the points scaled by a power of two, whose
-scatter matrix cannot overflow.  The cost is O(n * band width) and the
-memory O(BLOCK_ROWS * n).
+Coordinates with two or more columns take a sorted band (:func:`sorted_band`,
+which cross-validation walks too; Fan & Marron, *Fast implementations of
+nonparametric curve estimators*, JCGS 3(1), 1994).  The points are centred
+at their coordinate-wise median, so an offset of the covariates does not
+cost precision, projected on their principal axis and sorted once along it.
+The band of each block of BLOCK_ROWS sorted rows holds the sorted columns
+from its first row to the last one whose projection lies within a width w
+of its last row; their squared distances (:func:`pairwise_sq_dists`) go to
+one ``(BLOCK_ROWS, n)`` buffer.  :func:`_band_sums` turns them into kernel
+values in place, adds their sums against g2 and g1 to the block's rows and,
+mirrored, the block's g2 and g1 to the columns past it: each unordered pair
+is evaluated once.  Projecting on a unit vector shrinks no distance, so a
+band of width h holds every pair within h.  Windows are still decided by the
+computed expansion d2 < h^2, which can fall below h^2 for a pair slightly
+farther apart: with R^2 the largest squared norm of the centred points, it
+stays below 4 R^2 and within tol = 8 (q + 2) u R^2 of the true squared
+distance (u the machine epsilon, about four times the rounding bound), so
+the width w = sqrt(h^2 + tol) + sqrt(tol) covers it and the rounding of the
+projections, and no pair that a dense pass would count is skipped.  When
+4 R^2 overflows, the expansion can give inf - inf for any pair, and the band
+holds every pair, as a dense pass would; otherwise the axis comes from the
+points scaled by a power of two, whose scatter matrix cannot overflow.  The
+cost is O(n * band width) and the memory O(BLOCK_ROWS * n).
 
 Coordinates with one column (``"sp-index"`` always, ``"np"`` and
 ``"sp-proj"`` at q = 1) take the sorted path of :func:`window_sums`, which
@@ -226,37 +223,12 @@ def pairwise_sq_dists(
     return np.clip(d2, 0.0, None, out=d2)
 
 
-def distance_blocks(points: np.ndarray):
-    """Yield ``(block, d2)`` for consecutive blocks of BLOCK_ROWS rows.
+def sorted_band(points: np.ndarray, h2: float):
+    """The band of the module docstring over ``(n, d)`` points, d >= 2, holding each d2 < h2.
 
-    ``d2`` holds the squared distances from ``points[block]`` to every
-    point.  It is a view of one buffer that the next block overwrites, so a
-    caller may modify it in place but must not keep it.  Each point's
-    distance to itself is +inf, so the self term is in no window: this is
-    the pair pass of leave-one-out cross-validation.
-
-    The points are first centred at their coordinate-wise median, so the
-    expansion in :func:`pairwise_sq_dists` loses no precision to an offset
-    of the covariates.  The median is a sample value (or the midpoint of
-    two), so points on an integer lattice stay exact.
-    """
-    points = points - np.median(points, axis=0)
-    n = points.shape[0]
-    buf = np.empty((min(BLOCK_ROWS, n), n))
-    for start in range(0, n, BLOCK_ROWS):
-        block = slice(start, min(start + BLOCK_ROWS, n))
-        d2 = pairwise_sq_dists(points[block], points, out=buf[: block.stop - start])
-        rows = np.arange(d2.shape[0])
-        d2[rows, rows + start] = np.inf
-        yield block, d2
-
-
-def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray:
-    """Kernel sums of each row of ``columns`` over every window, self term included.
-
-    ``points`` is ``(n, d)`` with d >= 2 and ``columns`` is ``(m, n)``;
-    returns the ``(m, n)`` sums over j of K((x_j - x_i) / h) c_j, taken in the
-    sorted band of the module docstring.
+    Returns ``(order, blocks)``: ``order`` sorts the rows along the band, and ``blocks``
+    yields ``(lo, d2)`` per block of sorted rows from ``lo``, ``d2`` (in one buffer that
+    the next block overwrites) their squared distances to their band's columns from ``lo``.
     """
     points = points - np.median(points, axis=0)
     n, q = points.shape
@@ -272,22 +244,37 @@ def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray
     else:  # the expansion overflows, so every pair is visited, as by a dense pass
         proj, width = np.zeros(n), np.inf
     order = np.argsort(proj, kind="stable")
-    proj, points, columns = proj[order], points[order], columns[:, order]
+    proj, points = proj[order], points[order]
     starts = np.arange(0, n, BLOCK_ROWS)
     stops = np.minimum(starts + BLOCK_ROWS, n)
     ends = np.searchsorted(proj, proj[stops - 1] + width, side="right")
-    kernel = EpanechnikovKernel(q)
-    sums = np.zeros(columns.shape)
     buf = np.empty(min(BLOCK_ROWS, n) * n)
-    for start, stop, end in zip(starts, stops, ends):
-        r, w = stop - start, end - start
-        d2 = pairwise_sq_dists(points[start:stop], points[start:end],
-                               out=buf[: r * w].reshape(r, w))
+
+    def blocks():
+        for lo, hi, end in zip(starts, stops, ends):
+            d2 = buf[: (hi - lo) * (end - lo)].reshape(hi - lo, end - lo)
+            yield lo, pairwise_sq_dists(points[lo:hi], points[lo:end], out=d2)
+
+    return order, blocks()
+
+
+def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray:
+    """Kernel sums of each row of ``columns`` over every window, self term included.
+
+    ``points`` is ``(n, d)`` with d >= 2 and ``columns`` is ``(m, n)``;
+    returns the ``(m, n)`` sums over j of K((x_j - x_i) / h) c_j, taken in the
+    sorted band of the module docstring.
+    """
+    order, blocks = sorted_band(points, h2)
+    columns = columns[:, order]
+    kernel = EpanechnikovKernel(points.shape[1])
+    sums = np.zeros(columns.shape)
+    for lo, d2 in blocks:
+        r, w = d2.shape
         d2[np.arange(r), np.arange(r)] = 0.0  # the expansion leaves a residue there
-        d2 /= h2
-        k = kernel.profile(d2, out=d2)
-        sums[:, start:stop] += columns[:, start:end] @ k.T
-        sums[:, stop:end] += columns[:, start:stop] @ k[:, r:]  # the mirrored pairs
+        k = kernel.profile(np.divide(d2, h2, out=d2), out=d2)
+        sums[:, lo:lo + r] += columns[:, lo:lo + w] @ k.T
+        sums[:, lo + r:lo + w] += columns[:, lo:lo + r] @ k[:, r:]  # the mirrored pairs
     unsorted = np.empty_like(sums)
     unsorted[:, order] = sums
     return unsorted

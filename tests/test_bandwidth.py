@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaweight import (
     BandwidthGridError,
@@ -22,13 +22,16 @@ from adaweight import (
     sp_index_weights,
     sp_projected_weights,
 )
-from adaweight.bandwidth import MIN_VALID_FRACTION, _loo_scan
+from adaweight import weights as weights_module
+from adaweight.bandwidth import GRID_CHUNK, MIN_VALID_FRACTION, _loo_scan
 from adaweight.weights import (
     BLOCK_ROWS,
     FirstStepFit,
+    pairwise_sq_dists,
     smoothing_coordinates,
     squared_bandwidth,
 )
+from test_weights import LATTICE_ROTATIONS
 
 SQUARE = LossFunction.square()
 
@@ -219,7 +222,7 @@ class TestCvBandwidth:
             cv_bandwidth(d, fs, "np", grid=[1.0, np.nan])
 
     def test_memory_stays_in_row_blocks(self):
-        # the binned scan peaks near 9 MB here; one n x n float64 temporary
+        # the banded scan peaks near 10 MB here; one n x n float64 temporary
         # adds 32 MB and breaks the bound (the dense scan peaked at 153 MB)
         rng = np.random.default_rng(86)
         d, fs = random_fit(rng, n=2000, q=2)
@@ -234,8 +237,8 @@ class TestCvBandwidth:
     @pytest.mark.parametrize("grid", [None, [50.0, 60.0]], ids=["default", "covering"])
     def test_memory_stays_in_row_blocks_at_n_4000(self, grid):
         # on the default grid a minority of pairs lie in the largest window
-        # (peak near 16 MB); on the covering grid every pair does, and the
-        # arrays of a block's pairs peak near 40 MB; one n x n float64
+        # (peak near 15 MB); on the covering grid every pair does, and the
+        # arrays of a block's pairs peak near 46 MB; one n x n float64
         # temporary would add 128 MB
         rng = np.random.default_rng(87)
         d, fs = random_fit(rng, n=4000, q=2)
@@ -248,6 +251,36 @@ class TestCvBandwidth:
         assert peak <= 48 * 2**20
         if grid is not None:
             assert np.array_equal(res.valid_fraction, [1.0, 1.0])
+
+    def test_memory_stays_in_row_blocks_on_1000_candidates(self):
+        # the scan keeps sums per (row, candidate) only for the rows the band
+        # still reaches, and takes the candidates in chunks of GRID_CHUNK: it
+        # peaks near 24 MB here, and sums for every row would hold 64 MB
+        rng = np.random.default_rng(86)
+        d, fs = random_fit(rng, n=2000, q=2)
+        lo, hi = default_grid(smoothing_coordinates(d, fs, "np"))[[0, -1]]
+        tracemalloc.start()
+        try:
+            cv_bandwidth(d, fs, "np", grid=np.geomspace(lo, hi, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+
+    def test_scan_visits_fewer_than_half_the_pairs(self, monkeypatch):
+        # a pass over all pairs hands n^2 entries to pairwise_sq_dists; the
+        # band of the largest candidate, each pair once, hands about 0.40 n^2
+        data = generate_sample(2000, 2, "smooth", replication_rng(1, 0))[0]
+        fs = first_step(data, SQUARE)
+        pairs = []
+
+        def counting(rows, points, out=None):
+            pairs.append(rows.shape[0] * points.shape[0])
+            return pairwise_sq_dists(rows, points, out=out)
+
+        monkeypatch.setattr(weights_module, "pairwise_sq_dists", counting)
+        cv_bandwidth(data, fs, "np")
+        assert 0 < sum(pairs) < 2000**2 / 2
 
     def test_sp_modes_run(self):
         rng = np.random.default_rng(79)
@@ -336,13 +369,16 @@ GEOMETRIES = {
 
 
 class TestLooScanProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         mode=st.sampled_from(sorted(GEOMETRIES)),
+        q=st.sampled_from([2, 3]),
         n=st.sampled_from([3, 4, 17, 60, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                           2 * BLOCK_ROWS + 7]),
+                           2 * BLOCK_ROWS + 7, 4 * BLOCK_ROWS + 3]),
         spread=st.integers(1, 4),
         isolated=st.integers(0, 3),
+        rotate=st.booleans(),
+        offset=st.integers(-10**6, 10**6),
         grid=st.lists(
             st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-3]),
                       st.integers(1, 12).map(lambda k: k / 4)),
@@ -350,14 +386,29 @@ class TestLooScanProperties:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_reference(self, mode, n, spread, isolated, grid, seed):
+    # np pairs that cross several blocks of the band, off the coordinate axes
+    @example(mode="np", q=2, n=4 * BLOCK_ROWS + 3, spread=4, isolated=2, rotate=True,
+             offset=-10**6, grid=[0.5, 1.0, 2.25, 3.0], seed=1)
+    @example(mode="np", q=3, n=2 * BLOCK_ROWS + 7, spread=2, isolated=1, rotate=True,
+             offset=10**6 - 1, grid=[1.0, 1.5, 3.0], seed=2)
+    def test_matches_dense_reference(self, mode, q, n, spread, isolated, rotate, offset, grid,
+                                     seed):
         # integer covariates on a small lattice repeat rows and put many
-        # neighbours at distance exactly h; far-out rows have no neighbour
+        # neighbours at distance exactly h; far-out rows have no neighbour.
+        # The first lattice direction is three times as long, so it is the
+        # band's axis; rotated, it lies off the coordinate axes, and the
+        # neighbours along it stay at exactly h (times s)
         rng = np.random.default_rng(seed)
-        x = rng.integers(-spread, spread + 1, size=(n, 2)).astype(float)
+        n = max(n, q + 1)  # a Dataset has a row per coefficient
+        x = rng.integers(-spread, spread + 1, size=(n, q)).astype(float)
+        x[:, 0] *= 3.0
         x[: min(isolated, n)] += 100.0 * np.arange(1, min(isolated, n) + 1)[:, None]
+        if rotate:
+            turn, scale = LATTICE_ROTATIONS[q]
+            x, grid = x @ turn.T, [h * scale for h in grid]
         beta, eps = GEOMETRIES[mode]
-        data = Dataset(y=np.zeros(n), x=x)
+        beta = np.append(beta, np.zeros(q - 2))
+        data = Dataset(y=np.zeros(n), x=x + offset)
         fs = FirstStepFit(beta=beta, residuals=rng.normal(size=n))
         e2 = fs.residuals**2
         points = smoothing_coordinates(data, fs, mode, eps)
@@ -450,6 +501,18 @@ class TestLooScanProperties:
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
         assert np.array_equal(fractions, ref_fractions)
         assert fractions[-1] == (n - 1) / n
+
+    def test_grid_longer_than_a_chunk(self):
+        # candidates go in chunks of GRID_CHUNK; a pair below a chunk's first
+        # candidate lies in every window of that chunk
+        rng = np.random.default_rng(92)
+        points = rng.integers(-4, 5, size=(BLOCK_ROWS + 40, 2)).astype(float)
+        e2 = rng.normal(size=points.shape[0]) ** 2
+        grid = np.geomspace(0.9, 6.0, GRID_CHUNK + 3)[::-1]
+        scores, fractions = _loo_scan(points, e2, grid)
+        ref_scores, ref_fractions = dense_loo_criterion(points, e2, grid)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
 
     def test_single_point_has_no_evaluable_term(self):
         scores, fractions = _loo_scan(np.zeros((1, 2)), np.array([4.0]), np.array([1.0, 5.0]))

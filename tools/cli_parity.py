@@ -26,7 +26,7 @@ listed apart by record too: below that tolerance the certificate moves with
 the last bits of the weights.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set, 211 records: three CSVs (q = 1, 2, 3) x four losses x
+The command set, 215 records: three CSVs (q = 1, 2, 3) x four losses x
 seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
 the constant, np and sp-proj routes (a shift that still makes the first
 step's moment matrix singular); a q = 2 integer lattice with ties, fitted
@@ -39,6 +39,9 @@ pulls them in; ``q1.csv`` by np at ``--bandwidth 0.5000688122609995``, the
 rounded difference of two of its points, where the search at z + h lands
 past the farther one and the back fix-up moves the edge in; an n = 5000
 sp-index CV fit, whose sorted one-dimensional path crosses many segments;
+np and sp-proj CV fits at n = 2000 on a q = 2 design whose covariates have
+correlation 0.9 and on a q = 3 design, where the sorted band of two or more
+columns prunes most and its pairs cross many blocks;
 fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
 (200- and 1000-point grids among them, and a refused 1001-point one);
 bandwidth extremes; input errors; malformed and unusual CSV files (a repeated ``y``
@@ -116,10 +119,16 @@ ROUNDING = 1e-15  # both sides at most this in magnitude: a rounding-level move
 CERTIFICATE_TOL = 1e-10
 
 
-def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0, y_scale: float = 1.0) -> str:
-    """A heteroscedastic linear sample with 17-digit cells, covariates shifted by ``shift``."""
+def fit_csv_text(q: int, n: int, seed: int, shift: float = 0.0, y_scale: float = 1.0,
+                 rho: float = 0.0) -> str:
+    """A heteroscedastic linear sample with 17-digit cells, covariates shifted by ``shift``.
+
+    With ``rho`` every covariate after the first has correlation ``rho`` with the first.
+    """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, q))
+    if rho:
+        x[:, 1:] = rho * x[:, :1] + np.sqrt(1.0 - rho * rho) * x[:, 1:]
     sigma = 0.5 + np.abs(x[:, 0]) + 0.25 * x[:, -1] ** 2
     y = (1.0 + x @ np.linspace(1.0, -0.5, q) + sigma * rng.normal(size=n)) * y_scale
     x = x + shift
@@ -257,6 +266,10 @@ def command_set() -> list[tuple[str, list[str]]]:
     more["q1-np-h0.5000688122609995"] = ["fit", "--data", "data/q1.csv", "--weights", "np",
                                          "--bandwidth", "0.5000688122609995"]
     more["n5000-sp-index-cv"] = ["fit", "--data", "data/q2_n5000.csv", "--weights", "sp-index"]
+    for design in ("q2-rho0.9-n2000", "q3-n2000"):
+        for route in ("np", "sp-proj"):
+            more[f"{design}/{route}-cv"] = ["fit", "--data", f"data/{design}.csv",
+                                            "--weights", route]
     for route in ("np", "sp-index", "sp-proj"):
         more[f"y1e-170/{route}-cv"] = ["fit", "--data", "data/q2_y1e-170.csv", "--weights", route]
     for h in ("0.5", "3", "100"):
@@ -355,6 +368,10 @@ def write_inputs(root: str) -> None:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, shift=1e4))
     with open(os.path.join(data, "q2_n5000.csv"), "w", newline="") as handle:
         handle.write(fit_csv_text(2, 5000, seed=5))
+    with open(os.path.join(data, "q2-rho0.9-n2000.csv"), "w", newline="") as handle:
+        handle.write(fit_csv_text(2, 2000, seed=9, rho=0.9))
+    with open(os.path.join(data, "q3-n2000.csv"), "w", newline="") as handle:
+        handle.write(fit_csv_text(3, 2000, seed=13))
     with open(os.path.join(data, "q2_y1e-170.csv"), "w", newline="") as handle:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, y_scale=1e-170))
     with open(os.path.join(data, "lattice_q1.csv"), "w", newline="") as handle:
