@@ -28,27 +28,21 @@ kernels appear only inside bandwidth cross-validation (see
 
 Coordinates with two or more columns take a sorted band (:func:`sorted_band`,
 which cross-validation walks too; Fan & Marron, *Fast implementations of
-nonparametric curve estimators*, JCGS 3(1), 1994).  The points are centred
-at their coordinate-wise median, so an offset of the covariates does not
-cost precision, projected on their principal axis and sorted once along it.
-The band of each block of BLOCK_ROWS sorted rows holds the sorted columns
-from its first row to the last one whose projection lies within a width w
-of its last row; their squared distances (:func:`pairwise_sq_dists`) go to
-one ``(BLOCK_ROWS, n)`` buffer.  :func:`_band_sums` turns them into kernel
-values in place, adds their sums against g2 and g1 to the block's rows and,
-mirrored, the block's g2 and g1 to the columns past it: each unordered pair
-is evaluated once.  Projecting on a unit vector shrinks no distance, so a
-band of width h holds every pair within h.  Windows are still decided by the
-computed expansion d2 < h^2, which can fall below h^2 for a pair slightly
-farther apart: with R^2 the largest squared norm of the centred points, it
-stays below 4 R^2 and within tol = 8 (q + 2) u R^2 of the true squared
-distance (u the machine epsilon, about four times the rounding bound), so
-the width w = sqrt(h^2 + tol) + sqrt(tol) covers it and the rounding of the
-projections, and no pair that a dense pass would count is skipped.  When
-4 R^2 overflows, the expansion can give inf - inf for any pair, and the band
-holds every pair, as a dense pass would; otherwise the axis comes from the
-points scaled by a power of two, whose scatter matrix cannot overflow.  The
-cost is O(n * band width) and the memory O(BLOCK_ROWS * n).
+nonparametric curve estimators*, JCGS 3(1), 1994).  The points are projected
+on their principal axis and sorted once along it.  The band of each block of
+BLOCK_ROWS sorted rows holds the sorted columns from its first row to the
+last one whose projection lies within a width w of its last row; their
+squared distances (:func:`pairwise_sq_dists`) go to one ``(BLOCK_ROWS, n)``
+buffer.  :func:`_band_sums` turns them into kernel values in place, adds
+their sums against g2 and g1 to the block's rows and, mirrored, the block's
+g2 and g1 to the columns past it: each unordered pair is evaluated once.
+The window of i is every j with sum_k (x_jk - x_ik)^2 < h^2, the differences
+formed directly as in the one-column path below, so a point is at exactly 0
+from itself, a pair has one value from either end, and a difference whose
+square overflows gives inf: such points are isolated at every q.  Projecting
+on a unit vector shrinks no distance, so a band of width h holds every pair
+within h; w widens h only for rounding.  The cost is O(n * band width) and
+the memory O(BLOCK_ROWS * n).
 
 Coordinates with one column (``"sp-index"`` always, ``"np"`` and
 ``"sp-proj"`` at q = 1) take the sorted path of :func:`window_sums`, which
@@ -215,36 +209,42 @@ def pairwise_sq_dists(
 ) -> np.ndarray:
     """Squared Euclidean distances from each of ``rows`` to each of ``points``.
 
-    With ``out`` (shape ``(len(rows), len(points))``) they are written there;
-    the product a.b is the one temporary of that shape.
+    Each sums the squares of the directly formed coordinate differences, in
+    coordinate order (the window rule of the module docstring).  With ``out``
+    (shape ``(len(rows), len(points))``) they are written there; one scratch
+    array of that shape holds the squares of each further coordinate.
     """
-    d2 = np.add.outer(np.sum(rows**2, axis=1), np.sum(points**2, axis=1), out=out)
-    d2 -= (2.0 * rows) @ points.T
-    return np.clip(d2, 0.0, None, out=d2)
+    d2 = np.subtract.outer(rows[:, 0], points[:, 0], out=out)
+    np.multiply(d2, d2, out=d2)
+    scratch = np.empty_like(d2)
+    for k in range(1, rows.shape[1]):
+        diff = np.subtract.outer(rows[:, k], points[:, k], out=scratch)
+        d2 += np.multiply(diff, diff, out=diff)
+    return d2
 
 
+@np.errstate(over="ignore")  # a width that overflows holds every pair
 def sorted_band(points: np.ndarray, h2: float):
     """The band of the module docstring over ``(n, d)`` points, d >= 2, holding each d2 < h2.
 
     Returns ``(order, blocks)``: ``order`` sorts the rows along the band, and ``blocks``
     yields ``(lo, d2)`` per block of sorted rows from ``lo``, ``d2`` (in one buffer that
     the next block overwrites) their squared distances to their band's columns from ``lo``.
+    Axis and projections come from the points scaled by 2^-e to entries below 1, so the
+    scatter matrix cannot overflow and a projection rounds by at most about q sqrt(q) eps.
+    The width h 2^-e + 8 q sqrt(q) eps covers a pair's two projections, its window test
+    and the axis's norm; h counts only below the diameter 2 sqrt(q), past which all pairs
+    are in the band.
     """
-    points = points - np.median(points, axis=0)
     n, q = points.shape
-    top = float(np.max(np.sum(points**2, axis=1)))
-    if np.isfinite(4.0 * top):
-        # |a|^2 + |b|^2 - 2 a.b stays below 4 top and lies within tol of |a - b|^2
-        tol = 8.0 * (q + 2) * np.finfo(float).eps * top
-        scaled = np.ldexp(points, -np.frexp(np.sqrt(top))[1])  # norms below 1: no overflow
-        scaled -= scaled.mean(axis=0)
-        axis = np.linalg.eigh(scaled.T @ scaled)[1][:, -1]
-        proj = points @ axis
-        width = np.sqrt(h2 + tol) + np.sqrt(tol)
-    else:  # the expansion overflows, so every pair is visited, as by a dense pass
-        proj, width = np.zeros(n), np.inf
+    e = np.frexp(np.max(np.abs(points)))[1]
+    scaled = np.ldexp(points, -e)  # entries below 1
+    centred = scaled - scaled.mean(axis=0)
+    axis = np.linalg.eigh(centred.T @ centred)[1][:, -1]
+    proj = scaled @ axis
+    width = np.ldexp(np.sqrt(h2), -e) + 8.0 * q * np.sqrt(q) * np.finfo(float).eps
     order = np.argsort(proj, kind="stable")
-    proj, points = proj[order], points[order]
+    proj, points = proj[order], np.asfortranarray(points[order])  # columns contiguous
     starts = np.arange(0, n, BLOCK_ROWS)
     stops = np.minimum(starts + BLOCK_ROWS, n)
     ends = np.searchsorted(proj, proj[stops - 1] + width, side="right")
@@ -271,7 +271,6 @@ def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray
     sums = np.zeros(columns.shape)
     for lo, d2 in blocks:
         r, w = d2.shape
-        d2[np.arange(r), np.arange(r)] = 0.0  # the expansion leaves a residue there
         k = kernel.profile(np.divide(d2, h2, out=d2), out=d2)
         sums[:, lo:lo + r] += columns[:, lo:lo + w] @ k.T
         sums[:, lo + r:lo + w] += columns[:, lo:lo + r] @ k[:, r:]  # the mirrored pairs

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from adaweight.weights import (
     smoothing_coordinates,
     squared_bandwidth,
 )
-from test_weights import LATTICE_ROTATIONS
+from test_weights import LATTICE_ROTATIONS, CHAINED_DESIGNS, chained_covariates
 
 SQUARE = LossFunction.square()
 
@@ -369,10 +370,10 @@ GEOMETRIES = {
 
 
 class TestLooScanProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         mode=st.sampled_from(sorted(GEOMETRIES)),
-        q=st.sampled_from([2, 3]),
+        q=st.sampled_from([2, 3, 4]),
         n=st.sampled_from([3, 4, 17, 60, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                            2 * BLOCK_ROWS + 7, 4 * BLOCK_ROWS + 3]),
         spread=st.integers(1, 4),
@@ -385,23 +386,37 @@ class TestLooScanProperties:
             min_size=1, max_size=6,
         ),
         seed=st.integers(0, 2**32 - 1),
+        chained=st.one_of(st.none(), CHAINED_DESIGNS),
     )
     # np pairs that cross several blocks of the band, off the coordinate axes
     @example(mode="np", q=2, n=4 * BLOCK_ROWS + 3, spread=4, isolated=2, rotate=True,
-             offset=-10**6, grid=[0.5, 1.0, 2.25, 3.0], seed=1)
+             offset=-10**6, grid=[0.5, 1.0, 2.25, 3.0], seed=1, chained=None)
     @example(mode="np", q=3, n=2 * BLOCK_ROWS + 7, spread=2, isolated=1, rotate=True,
-             offset=10**6 - 1, grid=[1.0, 1.5, 3.0], seed=2)
+             offset=10**6 - 1, grid=[1.0, 1.5, 3.0], seed=2, chained=None)
+    # pairs near the window edge at h = 1e-4 of a spread of 1e4, where the
+    # expansion |a|^2 + |b|^2 - 2 a.b loses about 1e-7 of each scaled distance
+    @example(mode="np", q=2, n=4 * BLOCK_ROWS + 3, spread=1, isolated=0, rotate=False,
+             offset=0, grid=[1.0, 1.5, 2.0], seed=3, chained=(1e4, -4.0, 4))
+    @example(mode="sp-proj", q=4, n=2 * BLOCK_ROWS + 7, spread=1, isolated=1, rotate=True,
+             offset=0, grid=[1.0, 4.0], seed=4, chained=(1e4, -4.0, 3))
     def test_matches_dense_reference(self, mode, q, n, spread, isolated, rotate, offset, grid,
-                                     seed):
+                                     seed, chained):
         # integer covariates on a small lattice repeat rows and put many
         # neighbours at distance exactly h; far-out rows have no neighbour.
         # The first lattice direction is three times as long, so it is the
         # band's axis; rotated, it lies off the coordinate axes, and the
-        # neighbours along it stay at exactly h (times s)
+        # neighbours along it stay at exactly h (times s).  The chained design
+        # scales the grid by 10**log_h times its spread and puts neighbours
+        # near the edge of the first candidate's window, far from the origin
         rng = np.random.default_rng(seed)
         n = max(n, q + 1)  # a Dataset has a row per coefficient
-        x = rng.integers(-spread, spread + 1, size=(n, q)).astype(float)
-        x[:, 0] *= 3.0
+        if chained is None:
+            x = rng.integers(-spread, spread + 1, size=(n, q)).astype(float)
+            x[:, 0] *= 3.0
+        else:
+            scale, log_h, run = chained
+            grid = [h * scale * 10.0**log_h for h in grid]
+            x = chained_covariates(rng, n, q, scale, grid[0], run)
         x[: min(isolated, n)] += 100.0 * np.arange(1, min(isolated, n) + 1)[:, None]
         if rotate:
             turn, scale = LATTICE_ROTATIONS[q]
@@ -470,6 +485,44 @@ class TestLooScanProperties:
         ref_scores, _ = dense_loo_criterion(points, e2, grid)
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(scores[0], np.mean((e2 - loo_mean) ** 2), rtol=1e-12)
+
+    def test_pair_across_a_block_edge_just_inside_h(self):
+        # points on a line off the axes and far from the origin, 2 apart but
+        # for one pair 1 apart that straddles the first block's edge, at an h
+        # just above its squared distance: the projections' rounding can put
+        # the pair farther apart than h along the axis, and only the band's
+        # margin keeps it (without the margin 6 of these 60 lose it)
+        n = BLOCK_ROWS + 1
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            q = int(rng.integers(2, 8))
+            direction = rng.normal(size=q)
+            gaps = np.full(n - 1, 2.0)
+            gaps[BLOCK_ROWS - 1] = 1.0
+            t = np.append(0.0, np.cumsum(gaps))
+            points = 10.0 ** rng.uniform(3, 9) * rng.normal(size=q)
+            points = points + t[:, None] * direction / np.linalg.norm(direction)
+            d2 = 0.0
+            for step in points[BLOCK_ROWS] - points[BLOCK_ROWS - 1]:
+                d2 += step * step  # in coordinate order, as the band sums
+            h = np.sqrt(d2)
+            while h * h <= d2:
+                h = np.nextafter(h, np.inf)
+            _, fractions = _loo_scan(points, np.ones(n), np.array([h]))
+            assert fractions[0] == 2 / n, seed
+
+    def test_candidate_whose_scaled_width_overflows_holds_every_pair(self):
+        # the band measures its width in units of the points' largest entry,
+        # about 2^-996 here, so h = 1e10 makes it inf, which holds every pair
+        rng = np.random.default_rng(93)
+        points = 1e-300 * rng.normal(size=(50, 2))
+        e2 = rng.normal(size=50) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, fractions = _loo_scan(points, e2, np.array([1e10]))
+        ref_scores, ref_fractions = dense_loo_criterion(points, e2, [1e10])
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
+        assert np.array_equal(fractions, ref_fractions)
 
     def test_candidates_sharing_a_table_cell(self):
         # the bin table has 256 cells per power of two; these h^2 = (1 + k

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaweight import (
     DataError,
@@ -104,19 +104,29 @@ class TestWeightedFit:
 
 class TestPairwiseSqDists:
     def test_row_block_matches_dense_matrix(self):
+        # |a|^2 + |b|^2 - 2 a.b loses bits here and leaves residues on the
+        # diagonal; direct differences give the reference's values exactly
         rng = np.random.default_rng(49)
-        points = rng.normal(size=(30, 3))
+        points = 1.0 + rng.normal(size=(30, 3))
         dense = pairwise_sq_dists(points, points)
         assert np.array_equal(dense, dense.T)
-        assert np.all(np.diag(dense) <= 1e-12)
+        assert np.all(np.diag(dense) == 0.0)
         block = pairwise_sq_dists(points[5:12], points)
         assert block.shape == (7, 30)
         direct = np.sum((points[5:12, None, :] - points[None, :, :]) ** 2, axis=-1)
-        assert np.allclose(block, direct, rtol=1e-12, atol=1e-12)
-        assert np.all(block >= 0.0)
+        assert block.tobytes() == direct.tobytes()
         buf = np.full((7, 30), np.nan)
         assert pairwise_sq_dists(points[5:12], points, out=buf) is buf
         assert np.array_equal(buf, block)
+
+    def test_only_a_squared_difference_that_overflows_gives_inf(self):
+        # the squared norms of these points overflow, which the expansion
+        # turned into inf - inf = NaN for every pair
+        points = np.array([[1e200, 0.0], [-1e200, 0.0], [1e200, 1.0]])
+        with np.errstate(over="ignore"):
+            d2 = pairwise_sq_dists(points, points)
+        inf = np.inf
+        assert np.array_equal(d2, [[0.0, inf, 1.0], [inf, 0.0, inf], [1.0, inf, 0.0]])
 
 
 class TestNpWeights:
@@ -177,8 +187,8 @@ class TestNpWeights:
         assert np.allclose(w, expected, rtol=1e-12)
 
     def test_tiny_bandwidth_keeps_the_self_term(self):
-        # only the self term lies within h; the rounding residue of the
-        # distance expansion on the diagonal must not push it out
+        # only the self term lies within h, so a point's distance to itself
+        # must be exactly 0
         rng = np.random.default_rng(46)
         d, _ = heteroscedastic_sample(rng, n=250, q=2)
         d = Dataset(y=d.y, x=d.x + 3.0)
@@ -595,9 +605,25 @@ def dense_ratio_weights(points, loss, residuals, h):
     return num / den
 
 
+def chained_covariates(rng, n, q, spread, h, run):
+    """Normal covariates of scale ``spread`` in runs of ``run`` rows: each row
+    after a run's first is its predecessor plus a normal step of scale 0.7 h
+    per coordinate (every second row, for run = 2), so neighbours lie near
+    the window edge while the spread dwarfs h."""
+    x = spread * rng.normal(size=(n, q))
+    steps = 0.7 * h * rng.normal(size=(n, q))
+    for k in range(1, run):
+        x[k::run] = x[k - 1::run][: x[k::run].shape[0]] + steps[k::run]
+    return x
+
+
+#: Chained designs: spread, log10 of h relative to it, and run length.
+CHAINED_DESIGNS = st.tuples(st.sampled_from([1.0, 1e2, 1e4]), st.floats(-4.0, 0.0),
+                            st.integers(2, 4))
+
 #: Slope and eps per route with exactly representable smoothing coordinates
 #: on integer covariates: an integer slope, and for sp-proj a dyadic eps.
-#: At q = 3 the slope gains a zero, so the sp-proj projector stays dyadic.
+#: At q >= 3 the slope gains zeros, so the sp-proj projector stays dyadic.
 LATTICE_GEOMETRIES = {
     "np": (np.array([0.0, 1.0, 1.0]), None),
     "sp-index": (np.array([0.0, 1.0, 2.0]), None),
@@ -610,6 +636,8 @@ LATTICE_GEOMETRIES = {
 LATTICE_ROTATIONS = {
     2: (np.array([[3.0, -4.0], [4.0, 3.0]]), 5.0),
     3: (np.array([[2.0, -2.0, 1.0], [1.0, 2.0, 2.0], [2.0, 1.0, -2.0]]), 3.0),
+    4: (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                  [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]), 2.0),
 }
 
 
@@ -620,10 +648,10 @@ def route_weights(mode, data, loss, fs, h, eps):
 
 
 class TestBlockedSmoother:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         mode=st.sampled_from(sorted(LATTICE_GEOMETRIES)),
-        q=st.sampled_from([2, 3]),
+        q=st.sampled_from([2, 3, 4]),
         n=st.sampled_from([5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
         spread=st.integers(1, 4),
         isolated=st.integers(0, 3),
@@ -632,17 +660,30 @@ class TestBlockedSmoother:
         h=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 12).map(lambda k: k / 4)),
         loss=st.sampled_from([SQUARE, LossFunction.huber(1.345), LossFunction.power(1.5)]),
         seed=st.integers(0, 2**32 - 1),
+        chained=st.one_of(st.none(), CHAINED_DESIGNS),
     )
+    # pairs near the window edge at h = 1e-4 of a spread of 1e4, where the
+    # expansion |a|^2 + |b|^2 - 2 a.b loses about 1e-7 of each scaled distance
+    @example(mode="np", q=2, n=2 * BLOCK_ROWS + 1, spread=1, isolated=0, rotate=False,
+             offset=0, h=1.0, loss=SQUARE, seed=3, chained=(1e4, -4.0, 2))
+    @example(mode="sp-proj", q=4, n=2 * BLOCK_ROWS + 1, spread=1, isolated=1, rotate=True,
+             offset=0, h=1.0, loss=SQUARE, seed=4, chained=(1e4, -3.5, 3))
     def test_matches_dense_reference(self, mode, q, n, spread, isolated, rotate, offset, h,
-                                     loss, seed):
+                                     loss, seed, chained):
         # integer covariates on a small lattice repeat rows and put many
         # neighbours at distance exactly h, where the kernel is zero.  The
         # first lattice direction is three times as long, so it is the
         # principal axis of the band; rotated, it lies off the coordinate
-        # axes, and the neighbours along it stay at exactly h (times s)
+        # axes, and the neighbours along it stay at exactly h (times s).  The
+        # chained design puts neighbours near the window edge, far out in h
         rng = np.random.default_rng(seed)
-        x = rng.integers(-spread, spread + 1, size=(n, q)).astype(float)
-        x[:, 0] *= 3.0
+        if chained is None:
+            x = rng.integers(-spread, spread + 1, size=(n, q)).astype(float)
+            x[:, 0] *= 3.0
+        else:
+            scale, log_h, run = chained
+            h = scale * 10.0**log_h
+            x = chained_covariates(rng, n, q, scale, h, run)
         x[: min(isolated, n)] += 100.0 * np.arange(1, min(isolated, n) + 1)[:, None]
         if rotate:
             turn, scale = LATTICE_ROTATIONS[q]
@@ -673,15 +714,22 @@ class TestBlockedSmoother:
         np_weights(data, SQUARE, fs, h)
         assert 0 < sum(pairs) < 2000**2 / 2
 
-    def test_overflowing_coordinates_are_numerical_error(self):
-        # squared norms near 1e400 overflow, so the band visits every pair and
-        # the expansion's inf - inf reaches the denominators, as in a dense pass
+    def test_overflowing_coordinates_are_isolated(self):
+        # every squared difference overflows to inf, which lies in no window,
+        # so each point smooths only its own residual, as the one-column path
+        # gives on the first column
         rng = np.random.default_rng(47)
+        loss = LossFunction.huber(1.0)
         fs = FirstStepFit(beta=np.zeros(3), residuals=rng.normal(size=40))
         points = 1e200 * rng.normal(size=(40, 2))
-        with pytest.raises(NumericalError, match="denominator is not finite") as info:
-            _ratio_weights(SQUARE, fs, 1.0, points)
-        assert type(info.value) is NumericalError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _ratio_weights(loss, fs, 1.0, points)
+            w1 = _ratio_weights(loss, fs, 1.0, points[:, :1])
+        g2, g1 = loss.g2(fs.residuals), loss.g1(fs.residuals)
+        floored = [np.maximum(g, SMOOTHING_FLOOR * g.max()) for g in (g2, g1)]
+        assert np.array_equal(w1, floored[0] / floored[1])
+        np.testing.assert_allclose(w, w1, rtol=1e-15, atol=0.0)
 
     def test_single_point_weight_is_pointwise_ratio(self):
         # n = 1 is below any Dataset, so this goes through the smoother itself

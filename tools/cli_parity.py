@@ -26,7 +26,7 @@ listed apart by record too: below that tolerance the certificate moves with
 the last bits of the weights.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set, 215 records: three CSVs (q = 1, 2, 3) x four losses x
+The command set, 218 records: three CSVs (q = 1, 2, 3) x four losses x
 seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
 the constant, np and sp-proj routes (a shift that still makes the first
 step's moment matrix singular); a q = 2 integer lattice with ties, fitted
@@ -41,7 +41,10 @@ past the farther one and the back fix-up moves the edge in; an n = 5000
 sp-index CV fit, whose sorted one-dimensional path crosses many segments;
 np and sp-proj CV fits at n = 2000 on a q = 2 design whose covariates have
 correlation 0.9 and on a q = 3 design, where the sorted band of two or more
-columns prunes most and its pairs cross many blocks;
+columns prunes most and its pairs cross many blocks; np and sp-proj fits at
+``--bandwidth 1`` on a q = 2 design of spread 1e4 whose every second row is
+its predecessor plus a step of about 0.7 per coordinate, so pairs sit near
+the window edge far from the origin;
 fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
 (200- and 1000-point grids among them, and a refused 1001-point one);
 bandwidth extremes; input errors; malformed and unusual CSV files (a repeated ``y``
@@ -64,9 +67,10 @@ and the sp-proj coordinates overflow too).  ``q2.csv`` with y scaled by
 1e-170 is fitted by np, sp-index and sp-proj with CV: its squared residuals,
 index spread and squared slope underflow.  On ``exact_fit.csv``,
 whose first step fits exactly, six kernel fits meet a zero first-step score
-everywhere.  Seven fits probe bandwidths whose square underflows or is
-subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300 (at h = 1,
-and by CV on ``q1.csv`` and ``q2.csv``, where the spread overflows); one study
+everywhere.  Eight fits probe bandwidths whose square underflows or is
+subnormal, a ``power:1000`` loss and an ``--epsilon`` of 1e300 (at h = 1
+and by CV, on ``q1.csv`` and ``q2.csv``; the squared coordinate differences
+overflow, and by CV the spread does); one study
 has a bandwidth whose square underflows, one a bandwidth whose square is
 subnormal, and one asks for 64 workers for three replications.  In the
 n = 6 ``power:1.2`` study the first step of replication 148 fails, and one
@@ -144,6 +148,17 @@ def lattice_csv_text(n: int, seed: int, q: int = 1) -> str:
     y = 1.0 + x @ np.linspace(0.5, -0.25, q) + (0.5 + np.abs(x[:, 0]) / 4) * rng.normal(size=n)
     header = ",".join(["y"] + [f"x{j + 1}" for j in range(q)])
     return header + "\n" + "".join(f"{v:.17g},{','.join(map(str, u))}\n" for v, u in zip(y, x))
+
+
+def paired_csv_text(n: int, seed: int, spread: float, h: float) -> str:
+    """A q = 2 sample of normal covariates of scale ``spread``, every second row its
+    predecessor plus a normal step of scale 0.7 h per coordinate."""
+    rng = np.random.default_rng(seed)
+    x = spread * rng.normal(size=(n, 2))
+    x[1::2] = x[:-1:2] + 0.7 * h * rng.normal(size=(n // 2, 2))
+    y = 1.0 + x @ [1.0, -0.5] + (0.5 + np.abs(x[:, 0]) / spread) * rng.normal(size=n)
+    lines = ["y,x1,x2"] + [",".join(format(v, ".17g") for v in (y[i], *x[i])) for i in range(n)]
+    return "\n".join(lines) + "\n"
 
 
 def ingest_cases() -> dict[str, bytes | None]:
@@ -228,6 +243,8 @@ def command_set() -> list[tuple[str, list[str]]]:
         "power1000": q2 + ["--loss", "power:1000"],
         "sp-proj-eps1e300-h1": q2 + ["--weights", "sp-proj", "--epsilon", "1e300",
                                      "--bandwidth", "1"],
+        "sp-proj-eps1e300-h1-q1": ["fit", "--data", "data/q1.csv", "--weights", "sp-proj",
+                                   "--epsilon", "1e300", "--bandwidth", "1"],
         "sp-proj-eps1e300-cv-q1": ["fit", "--data", "data/q1.csv", "--weights", "sp-proj",
                                    "--epsilon", "1e300"],
         "sp-proj-eps1e300-cv-q2": q2 + ["--weights", "sp-proj", "--epsilon", "1e300"],
@@ -270,6 +287,9 @@ def command_set() -> list[tuple[str, list[str]]]:
         for route in ("np", "sp-proj"):
             more[f"{design}/{route}-cv"] = ["fit", "--data", f"data/{design}.csv",
                                             "--weights", route]
+    for route in ("np", "sp-proj"):
+        more[f"paired-spread1e4/{route}-h1"] = ["fit", "--data", "data/paired_spread1e4.csv",
+                                                "--weights", route, "--bandwidth", "1"]
     for route in ("np", "sp-index", "sp-proj"):
         more[f"y1e-170/{route}-cv"] = ["fit", "--data", "data/q2_y1e-170.csv", "--weights", route]
     for h in ("0.5", "3", "100"):
@@ -374,6 +394,8 @@ def write_inputs(root: str) -> None:
         handle.write(fit_csv_text(3, 2000, seed=13))
     with open(os.path.join(data, "q2_y1e-170.csv"), "w", newline="") as handle:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, y_scale=1e-170))
+    with open(os.path.join(data, "paired_spread1e4.csv"), "w", newline="") as handle:
+        handle.write(paired_csv_text(400, seed=17, spread=1e4, h=1.0))
     with open(os.path.join(data, "lattice_q1.csv"), "w", newline="") as handle:
         handle.write(lattice_csv_text(200, seed=11))
     with open(os.path.join(data, "lattice_q2.csv"), "w", newline="") as handle:
