@@ -12,7 +12,13 @@ Three operations live here:
   ``n^-1 sum_i w_i rho'(|e_i|) sign(e_i) x~_i = 0``.  It evaluates the
   estimating equation at most once per point, and an accepted full Newton
   step hands its residuals, ``|e|`` and estimating equation on to the next
-  iteration.  The loss kernels take ``|e|`` unchecked, since it is
+  iteration.  For power losses with 1 < p < 2 the IRLS working matrix is
+  the Hessian over p - 1, so the IRLS point of a Newton step ``delta`` is
+  ``beta + (p-1) delta``: one residual pass, no solve.  It replaces a full
+  step that overshoots along ``delta`` when its objective is lower by more
+  than ``IRLS_MARGIN``, and a singular curvature after the start is stepped
+  past with ``|e|`` floored at ``CURVATURE_FLOOR`` times its median in the
+  curvature only.  The loss kernels take ``|e|`` unchecked, since it is
   nonnegative by construction; the score is written once, in the helper
   that :func:`estimating_equation` also uses,
 * :func:`sandwich_covariance` - plug-in covariance
@@ -38,6 +44,16 @@ RCOND_MIN = 1e-12
 TOL = 1e-10
 #: M-solver Newton iteration cap; a fit that reaches it reports converged=False.
 MAX_ITER = 100
+#: Power losses with 1 < p < 2: the IRLS point beta + (p-1) * step replaces
+#: the full Newton step only when its weighted objective is lower by more
+#: than this relative margin.  Below it the two objectives differ by
+#: rounding, and the choice would follow the row order.
+IRLS_MARGIN = 1e-12
+#: Power losses with 1 < p < 2: past a singular curvature and IRLS working
+#: matrix, the Newton step floors ``|e|`` at this multiple of the median
+#: nonzero ``|e|`` in the curvature, so that p(p-1)|e|^(p-2) stays within
+#: about CURVATURE_FLOOR^(p-2) of its median.
+CURVATURE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -249,6 +265,32 @@ def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
     ``TOL``; a fit that reaches ``MAX_ITER`` iterations is returned with
     ``converged=False`` and its final gradient norm, never silently.
 
+    Power losses rho = |e|^p with 1 < p < 2 change the step rule twice.
+    Since rho'(e)/e = rho''(e)/(p-1), the IRLS working matrix is the Hessian
+    over p - 1, and the IRLS point of a Newton step ``delta`` is
+    ``beta + (p-1) delta``.  Each full Newton step is weighed against it:
+    on one dominant term Newton maps a residual e to e (p-2)/(p-1), its
+    mirror image at p = 1.5, while the IRLS point maps it to 0.  Where the
+    objective still falls along ``delta`` at the full step (the estimating
+    equation there has a nonnegative inner product with ``delta``; it is
+    minus the objective's gradient), convexity puts every point behind the
+    full step, the IRLS point among them, no lower, and nothing more is
+    evaluated.  Elsewhere the IRLS point is taken when its objective is lower
+    by more than the relative margin ``IRLS_MARGIN``, so that rounding-level
+    differences, which follow the row order, never choose.  After the first
+    iteration a
+    singular curvature matrix of such a loss, from curvatures p(p-1)|e|^(p-2)
+    that blow up at near-zero residuals, takes no IRLS step, whose matrix is
+    the same one over p - 1: the Newton step floors ``|e|`` at
+    ``CURVATURE_FLOOR`` times the median nonzero ``|e|``, in the curvature
+    only (not in the estimating equation or the objective), and step halving
+    on the objective accepts it; where even that matrix is singular the
+    solver stops where it stands.  A start this singular takes the IRLS step
+    as other losses do, and a singular IRLS matrix there still raises
+    :class:`DegenerateDesignError`.
+    ``converged=False`` thus also covers a fit whose certificate lies out of
+    floating-point reach near such a residual: it returns a finite beta.
+
     Each point the solver visits is evaluated once: its estimating equation
     at most once, and its residuals ``e`` and ``|e|`` once per iteration
     that uses them.  An accepted full Newton step hands its residuals,
@@ -257,7 +299,9 @@ def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
     take ``|e|`` unchecked, since it is nonnegative by construction.
 
     With the data, loss and weights fixed, one iteration is a pure function
-    of the iterate's bits.  An iterate met a second time therefore starts a
+    of the iterate's bits (only the start may raise where a later iterate
+    would be stepped past, and the start is never met again: its repeat
+    stops the loop first).  An iterate met a second time therefore starts a
     cycle the solver would repeat until the cap: first seen at iteration j
     and met again at iteration k, it recurs with period ``k - j``.  The
     solver stops there and returns the iterate the full run would end on,
@@ -282,6 +326,8 @@ def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
 def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitResult:
     """The solver loop of :func:`fit_weighted_m` from ``beta``, at most ``max_iter`` steps."""
     xt = data.design_matrix()
+    # power losses with 1 < p < 2: the IRLS point of a Newton step is known
+    sub_quadratic = loss.family == "power" and loss.exponent < 2.0
     # iterate bytes -> first iteration index; history[j] = (iterate, its grad).
     # Bytes, not values: +0 and -0 differ in bits, and NaN equals itself.
     seen: dict[bytes, int] = {}
@@ -308,6 +354,14 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
         newton_ok = _rcond(hess) >= RCOND_MIN
         if newton_ok:
             step = np.linalg.solve(hess, grad)
+        elif sub_quadratic and k:
+            # the IRLS working matrix is this one over p - 1, singular too
+            # where curvatures p(p-1)|e|^(p-2) blow up at near-zero
+            # residuals; only at the start may that be an error
+            step = _floored_newton_step(data, loss, w, xt, abs_e, grad)
+            if step is None:
+                iterations += 1
+                break
         else:
             step = _irls_target(data, loss, w, xt, abs_e) - beta
         # the full step is also the first halving trial (beta + 1.0 * step
@@ -315,14 +369,27 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
         t = 1.0
         trial = beta + step
         e_trial, abs_trial = _residuals(data, xt, trial)
-        trial_grad = None
+        trial_grad = irls_point = full_value = None
         candidate = None  # (point, e, |e|, grad), None where not kept
         if newton_ok:
+            trial_grad = _z_map(data, loss, w, xt, e_trial, abs_trial)
+            if sub_quadratic and trial_grad @ step < 0:
+                # the objective rises along step at the full step (its
+                # gradient is minus the Z-map), as where Newton maps a
+                # dominant residual e to e (p-2)/(p-1), its mirror image at
+                # p = 1.5.  Elsewhere it still falls there, and by convexity
+                # no point behind the full step is lower.  Only the IRLS
+                # point's objective is kept, not its n-vectors
+                irls_point = beta + (loss.exponent - 1.0) * step
+                irls_value = _objective(loss, w, _residuals(data, xt, irls_point)[1])
+                full_value = _objective(loss, w, abs_trial)
+                if irls_value < full_value - IRLS_MARGIN * full_value:
+                    candidate = (irls_point, None, None, None)
+                    e_trial = abs_trial = trial_grad = None
             # near the solution the objective sits on its roundoff plateau
             # and cannot discriminate; a full Newton step that shrinks the
             # Z-residual is accepted outright (convex objective)
-            trial_grad = _z_map(data, loss, w, xt, e_trial, abs_trial)
-            if np.abs(trial_grad).max() < gnorm:
+            if candidate is None and np.abs(trial_grad).max() < gnorm:
                 candidate = (trial, e_trial, abs_trial, trial_grad)
         if candidate is None:
             # step halving on the weighted objective.  A damped trial keeps
@@ -335,6 +402,8 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
                     trial = beta + t * step
                     e_trial = abs_trial = trial_grad = None
                     value = _objective(loss, w, _residuals(data, xt, trial)[1])
+                elif full_value is not None:
+                    value = full_value
                 else:
                     value = _objective(loss, w, abs_trial)
                 if value <= current:
@@ -345,13 +414,17 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
             # (curvature spikes near zero residuals for power losses); the
             # IRLS point is often better there.  t < 1 means the candidate,
             # if any, is the accepted halving trial, of objective ``value``
-            try:
-                irls_point = _irls_target(data, loss, w, xt, abs_e)
-            except DegenerateDesignError:
-                irls_point = None
+            if irls_point is None:
+                try:
+                    irls_point = (beta + (loss.exponent - 1.0) * step if sub_quadratic
+                                  else _irls_target(data, loss, w, xt, abs_e))
+                except DegenerateDesignError:
+                    pass
+                else:
+                    irls_value = _objective(loss, w, _residuals(data, xt, irls_point)[1])
             if irls_point is not None:
                 floor = value if candidate is not None else current
-                if _objective(loss, w, _residuals(data, xt, irls_point)[1]) <= floor:
+                if irls_value <= floor:
                     candidate = (irls_point, None, None, None)
         iterations += 1
         if candidate is None:
@@ -367,6 +440,20 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
         converged=bool(gnorm <= TOL),
         gradient_norm=gnorm,
     )
+
+
+def _floored_newton_step(data: Dataset, loss: LossFunction, w, xt, abs_e, grad):
+    """Newton step with ``|e|`` floored in the curvature only, or None if still singular.
+
+    The floor is ``CURVATURE_FLOOR`` times the median nonzero ``|e|``; the
+    estimating equation ``grad`` and the objective keep the exact residuals.
+    """
+    floor = CURVATURE_FLOOR * float(np.median(abs_e[abs_e > 0]))
+    curv = w * loss._rho_second(np.maximum(abs_e, floor))
+    hess = (xt * curv[:, None]).T @ xt / data.n
+    if _rcond(hess) < RCOND_MIN:
+        return None
+    return np.linalg.solve(hess, grad)
 
 
 @np.errstate(invalid="ignore")

@@ -145,11 +145,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ReplicationOutcome:
-    """Result of one method inside one replication."""
+    """Result of one method inside one replication.
+
+    ``converged`` is False when ``beta`` comes from a fit whose solver
+    stopped before its certificate: the first step's fit for
+    ``first-step``, the final fit for every other method.
+    """
 
     beta: np.ndarray | None
     sq_error: float
     status: str
+    converged: bool = True
 
     @property
     def ok(self) -> bool:
@@ -199,14 +205,19 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
                 w = sp_projected_weights(data, config.loss, fs, h, eps)
             else:  # oracle
                 w = oracle_weights(lambda x: family(x, beta0), data)
-            beta = fs.beta if w is None else weighted_fit(data, config.loss, w).beta
+            if w is None:
+                beta, converged = fs.beta, fs.converged
+            else:
+                fit = weighted_fit(data, config.loss, w)
+                beta, converged = fit.beta, fit.converged
         except NumericalError as exc:
             outcomes[method] = ReplicationOutcome(
                 beta=None, sq_error=float("nan"), status=exc.category
             )
             continue
         sq_error = float(np.sum((beta - beta0) ** 2))
-        outcomes[method] = ReplicationOutcome(beta=beta, sq_error=sq_error, status="ok")
+        outcomes[method] = ReplicationOutcome(beta=beta, sq_error=sq_error, status="ok",
+                                              converged=converged)
     return outcomes
 
 
@@ -252,6 +263,10 @@ class StudyResult:
     def failures(self, method: str) -> int:
         return sum(1 for rep in self.outcomes if not rep[method].ok)
 
+    def nonconverged(self, method: str) -> int:
+        """``ok`` replications whose beta comes from a fit that did not converge."""
+        return sum(1 for rep in self.outcomes if rep[method].ok and not rep[method].converged)
+
     def summary(self) -> dict:
         """The summary.json object: the config, then methods in config order."""
         cfg = self.config
@@ -261,6 +276,7 @@ class StudyResult:
             methods[method] = {
                 "count": len(self.outcomes) - failed,
                 "failed": failed,
+                "nonconverged": self.nonconverged(method),
                 **summarize_errors(self.errors(method)),
             }
         return {

@@ -122,10 +122,11 @@ BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class FirstStepFit:
-    """Constant-weight fit and its residual sequence."""
+    """Constant-weight fit, its residual sequence and whether its solver converged."""
 
     beta: np.ndarray
     residuals: np.ndarray
+    converged: bool = True
 
     @property
     def slope(self) -> np.ndarray:
@@ -143,7 +144,7 @@ def first_step(data: Dataset, loss: LossFunction) -> FirstStepFit:
     """Fit with unit weights; the plug-in point for every weight formula."""
     fit = weighted_fit(data, loss, np.ones(data.n))
     residuals = data.y - fit.beta[0] - data.x @ fit.beta[1:]
-    return FirstStepFit(beta=fit.beta, residuals=residuals)
+    return FirstStepFit(beta=fit.beta, residuals=residuals, converged=fit.converged)
 
 
 def projector(beta2) -> np.ndarray:

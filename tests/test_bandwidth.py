@@ -343,9 +343,19 @@ class TestDefaultGrid:
         assert type(info.value) is NumericalError
 
 
+def coordinate_order_sq_dists(points):
+    """All pairwise squared distances, each the sum of the squared coordinate
+    differences in coordinate order (``np.sum`` adds 8 or more terms pairwise)."""
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = diff[..., 0] ** 2
+    for k in range(1, points.shape[1]):
+        d2 += diff[..., k] ** 2
+    return d2
+
+
 def dense_loo_criterion(points, e2, grid):
     """Scores and evaluable fractions from the full leave-one-out kernel matrix."""
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    d2 = coordinate_order_sq_dists(points)
     scores, fractions = [], []
     for h in grid:
         k = np.clip(1.0 - d2 / h**2, 0.0, None)
@@ -399,6 +409,9 @@ class TestLooScanProperties:
              offset=0, grid=[1.0, 1.5, 2.0], seed=3, chained=(1e4, -4.0, 4))
     @example(mode="sp-proj", q=4, n=2 * BLOCK_ROWS + 7, spread=1, isolated=1, rotate=True,
              offset=0, grid=[1.0, 4.0], seed=4, chained=(1e4, -4.0, 3))
+    # eight columns, which np.sum would add pairwise, not in coordinate order
+    @example(mode="np", q=8, n=2 * BLOCK_ROWS + 7, spread=1, isolated=1, rotate=False,
+             offset=0, grid=[1.0, 1.5, 2.0], seed=5, chained=(1e4, -3.0, 2))
     def test_matches_dense_reference(self, mode, q, n, spread, isolated, rotate, offset, grid,
                                      seed, chained):
         # integer covariates on a small lattice repeat rows and put many

@@ -225,12 +225,13 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
         beta = fit_wls(data, np.ones(data.n)).beta.copy()
     else:
         beta = np.asarray(init, dtype=float).copy()
+    sub_quadratic = loss.family == "power" and loss.exponent < 2
 
     def objective(point):
         return est._objective(loss, w, np.abs(data.y - xt @ point))
 
     iterations = 0
-    for _ in range(max_iter):
+    for k in range(max_iter):
         if iterates is not None:
             iterates.append(beta)
         e = data.y - xt @ beta
@@ -244,14 +245,31 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
         newton_ok = np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN
         if newton_ok:
             step = np.linalg.solve(hess, grad)
+        elif sub_quadratic and k > 0:
+            # Newton with |e| floored in the curvature, past a singular one
+            floor = est.CURVATURE_FLOOR * np.median(np.abs(e)[e != 0])
+            curv = w * loss.rho_second(np.maximum(np.abs(e), floor))
+            hess = (xt * curv[:, None]).T @ xt / data.n
+            cond = np.linalg.cond(hess)
+            if not (np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN):
+                iterations += 1
+                break
+            step = np.linalg.solve(hess, grad)
         else:
             step = est._irls_target(data, loss, w, xt, np.abs(e)) - beta
-        candidate = None
+        candidate = irls_point = None
         t = 1.0
         if newton_ok:
             full = beta + step
             full_grad = estimating_equation(data, loss, w, full)
-            if np.max(np.abs(full_grad)) < np.max(np.abs(grad)):
+            if sub_quadratic and full_grad @ step < 0:
+                # the objective rises along step at the full step: the IRLS
+                # point replaces the full step where it beats it by the margin
+                irls_point = beta + (loss.exponent - 1.0) * step
+                full_value = objective(full)
+                if objective(irls_point) < full_value - est.IRLS_MARGIN * full_value:
+                    candidate = irls_point
+            if candidate is None and np.max(np.abs(full_grad)) < np.max(np.abs(grad)):
                 candidate = full
         if candidate is None:
             current = objective(beta)
@@ -262,10 +280,13 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
                     break
                 t *= 0.5
         if newton_ok and t < 1.0:
-            try:
-                irls_point = est._irls_target(data, loss, w, xt, np.abs(e))
-            except DegenerateDesignError:
-                irls_point = None
+            if irls_point is None and sub_quadratic:
+                irls_point = beta + (loss.exponent - 1.0) * step
+            elif irls_point is None:
+                try:
+                    irls_point = est._irls_target(data, loss, w, xt, np.abs(e))
+                except DegenerateDesignError:
+                    irls_point = None
             if irls_point is not None:
                 floor = objective(candidate) if candidate is not None else current
                 if objective(irls_point) <= floor:
@@ -418,9 +439,9 @@ class TestSingularCurvature:
 
 class TestRareSolverExits:
     # A singular IRLS matrix beside a nonsingular Hessian needs a near-tie of
-    # their condition numbers: for power losses the two are proportional
-    # (rho'(e)/e = rho''(e)/(p-1)), and for Huber the IRLS matrix is the
-    # Hessian plus a PSD term.  So a patch raises the error here.
+    # their condition numbers: for Huber the IRLS matrix is the Hessian plus
+    # a PSD term, so a patch raises the error here.  (Power losses with
+    # 1 < p < 2 take their IRLS point from the Newton step, no solve.)
     def test_singular_irls_after_damped_newton_step_is_skipped(self, monkeypatch):
         calls = []
 
@@ -429,13 +450,14 @@ class TestRareSolverExits:
             raise DegenerateDesignError("IRLS working moment matrix is numerically singular")
 
         monkeypatch.setattr(est, "_irls_target", singular)
-        data, w = oracle_case(0)
-        loss = NON_SQUARE["power:1.2"]
-        fit = m_solve(data, loss, w)
+        data, w = oracle_case(1)
+        loss, init = NON_SQUARE["huber:1.345"], [5.0, -5.0, 5.0]
+        fit = m_solve(data, loss, w, init=init)
         # the IRLS step itself would let the error out, so every call came
         # after a damped Newton step
         assert calls and fit.converged
-        assert outcome(m_solve, data, loss, w) == outcome(reference_fit_weighted_m, data, loss, w)
+        assert outcome(m_solve, data, loss, w, init=init) == \
+            outcome(reference_fit_weighted_m, data, loss, w, init=init)
 
     # No trial point passes the descent test, which a NaN objective forces:
     # the solver stops where it stands after one iteration
@@ -493,6 +515,70 @@ class TestSinglePointEvaluation:
         assert fit.converged and fit.iterations >= 3
         assert len(points) >= fit.iterations
         assert len(set(points)) == len(points)
+
+
+class TestSubQuadraticPowerSteps:
+    """Power losses with 1 < p < 2: the IRLS point and the floored Newton step."""
+
+    def test_stalled_weighted_fit_reaches_the_root(self):
+        # oracle weights up to 2.3e5 times their median: the full-step rule
+        # alone leaves this fit at the cap with |Psi_n| near 1.4e3, and the
+        # same loop needs 905 iterations to reach the certificate
+        data, beta0 = generate_sample(100, 3, "smooth", replication_rng(4, 3))
+        family = inverse_variance_map("smooth")
+        w = oracle_weights(lambda x: family(x, beta0), data)
+        fit = fit_weighted_m(data, NON_SQUARE["power:1.5"], w)
+        assert fit.converged and fit.iterations < est.MAX_ITER
+        # the full-step loop's beta after 1000 iterations, certificate 2.3e-11
+        root = np.array([0.5004440232607461, 0.44211268958558375,
+                         0.44434318840368503, 0.4497735445023969])
+        assert np.max(np.abs(fit.beta - root)) <= 1e-12 * np.max(np.abs(root))
+
+    def test_dominant_point_lands_on_the_irls_point(self):
+        # one weight 1e6 times the others: on its own term Newton maps the
+        # residual e to e (p-2)/(p-1) = -e at p = 1.5, the IRLS point to 0
+        loss = NON_SQUARE["power:1.5"]
+        data = Dataset(y=np.array([0.5, 0.0, 2.5, 1.5, 1.0, 3.0, 5.5, 5.5]),
+                       x=np.arange(8.0))
+        w = np.ones(8)
+        w[3] = 1e6
+        xt = data.design_matrix()
+        start = fit_wls(data, np.ones(8)).beta
+        e = data.y - xt @ start
+        hess = (xt * (w * loss.rho_second(np.abs(e)))[:, None]).T @ xt / data.n
+        step = np.linalg.solve(hess, estimating_equation(data, loss, w, start))
+        full, irls = start + step, start + (loss.exponent - 1.0) * step
+        assert (data.y - xt @ full)[3] == pytest.approx(-e[3], rel=1e-4)
+        fit = m_solve(data, loss, w, max_iter=1)
+        assert np.max(np.abs(fit.beta - irls)) <= 1e-12 * np.max(np.abs(irls))
+        assert abs((data.y - xt @ fit.beta)[3]) < 1e-5 * abs(e[3])
+
+    def test_singular_working_matrix_mid_solve_is_stepped_past(self, monkeypatch):
+        # the curvature and IRLS matrices turn singular after the start,
+        # where a residual of a heavy-weight point nears 0
+        data, beta0 = generate_sample(30, 1, "smooth", replication_rng(1, 4))
+        family = inverse_variance_map("smooth")
+        w = oracle_weights(lambda x: family(x, beta0), data)
+        loss = NON_SQUARE["power:1.2"]
+        fit = fit_weighted_m(data, loss, w)
+        assert not fit.converged
+        assert np.all(np.isfinite(fit.beta)) and math.isfinite(fit.gradient_norm)
+        floored = est._floored_newton_step
+        calls = []
+        monkeypatch.setattr(est, "_floored_newton_step",
+                            lambda *a: calls.append(1) or floored(*a))
+        assert outcome(fit_weighted_m, data, loss, w) == outcome(lambda: fit)
+        assert calls
+        assert outcome(fit_weighted_m, data, loss, w) == \
+            outcome(reference_fit_weighted_m, data, loss, w)
+
+    def test_singular_start_still_raises(self):
+        # all the weight on one point: every working matrix is singular
+        data = Dataset(y=EXACT_Y, x=EXACT_X)
+        w = np.zeros(8)
+        w[2] = 1.0
+        with pytest.raises(DegenerateDesignError, match="IRLS working moment matrix"):
+            fit_weighted_m(data, NON_SQUARE["power:1.2"], w)
 
 
 class TestFitWeightedMInputs:

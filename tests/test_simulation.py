@@ -4,6 +4,7 @@ import pytest
 from adaweight import (
     DataError,
     DegenerateDesignError,
+    LossFunction,
     SimConfig,
     StudyError,
     generate_sample,
@@ -189,7 +190,35 @@ class TestRunStudy:
         summary = run_study(cfg).summary()["methods"]
         assert set(summary) == {"first-step", "oracle"}
         for stats in summary.values():
-            assert stats["count"] == 5 and stats["failed"] == 0
+            assert list(stats)[:3] == ["count", "failed", "nonconverged"]
+            assert stats["count"] == 5 and stats["failed"] == 0 and stats["nonconverged"] == 0
+
+    def test_nonconverged_counts_ok_rows_of_stopped_fits(self, monkeypatch):
+        # power:1.2 fits whose certificate is out of floating-point reach
+        # stop at the iteration cap or at a repeated iterate, unconverged
+        cfg = SimConfig(n=100, q=2, sigma="smooth", replications=8, seed=1,
+                        methods=("first-step", "parametric", "oracle"),
+                        loss=LossFunction.power(1.2))
+        stopped = {"first step": 0, "final fit": 0}
+        first_step, weighted_fit = simulation.first_step, simulation.weighted_fit
+
+        def counted(fit, kind):
+            def wrapper(*args):
+                result = fit(*args)
+                stopped[kind] += not result.converged
+                return result
+            return wrapper
+
+        monkeypatch.setattr(simulation, "first_step", counted(first_step, "first step"))
+        monkeypatch.setattr(simulation, "weighted_fit", counted(weighted_fit, "final fit"))
+        result = run_study(cfg)
+        summary = result.summary()["methods"]
+        assert all(summary[m]["failed"] == 0 for m in cfg.methods)
+        assert summary["first-step"]["nonconverged"] == stopped["first step"]
+        assert summary["parametric"]["nonconverged"] + summary["oracle"]["nonconverged"] == \
+            stopped["final fit"] > 0
+        flags = [rep["oracle"].converged for rep in result.outcomes]
+        assert summary["oracle"]["nonconverged"] == flags.count(False)
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):

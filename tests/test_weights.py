@@ -595,9 +595,19 @@ class TestPointwiseConsistency:
         assert median_rel_err(1600) < median_rel_err(100)
 
 
+def coordinate_order_sq_dists(points):
+    """All pairwise squared distances, each the sum of the squared coordinate
+    differences in coordinate order (``np.sum`` adds 8 or more terms pairwise)."""
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = diff[..., 0] ** 2
+    for k in range(1, points.shape[1]):
+        d2 += diff[..., k] ** 2
+    return d2
+
+
 def dense_ratio_weights(points, loss, residuals, h):
     """Kernel ratio N/D from the full matrix of direct coordinate differences."""
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    d2 = coordinate_order_sq_dists(points)
     k = np.clip(1.0 - d2 / h**2, 0.0, None)
     num, den = k @ loss.g2(residuals), k @ loss.g1(residuals)
     num = np.maximum(num, SMOOTHING_FLOOR * num.max())
@@ -668,6 +678,9 @@ class TestBlockedSmoother:
              offset=0, h=1.0, loss=SQUARE, seed=3, chained=(1e4, -4.0, 2))
     @example(mode="sp-proj", q=4, n=2 * BLOCK_ROWS + 1, spread=1, isolated=1, rotate=True,
              offset=0, h=1.0, loss=SQUARE, seed=4, chained=(1e4, -3.5, 3))
+    # eight columns, which np.sum would add pairwise, not in coordinate order
+    @example(mode="np", q=8, n=2 * BLOCK_ROWS + 1, spread=1, isolated=1, rotate=False,
+             offset=0, h=1.0, loss=SQUARE, seed=5, chained=(1e4, -3.0, 2))
     def test_matches_dense_reference(self, mode, q, n, spread, isolated, rotate, offset, h,
                                      loss, seed, chained):
         # integer covariates on a small lattice repeat rows and put many

@@ -23,10 +23,13 @@ applies to them (a certificate going from 0 to 2.8e-17 is not a move of
 rel 1).  A ``solver.gradient_norm`` of two converged fits whose sides are
 both at most ``CERTIFICATE_TOL`` (1e-10, the solver's ``estimators.TOL``) is
 listed apart by record too: below that tolerance the certificate moves with
-the last bits of the weights.  The exit status is 0 when no record differs
+the last bits of the weights.  So is the ``solver.gradient_norm`` of a
+closed-form weighted least-squares fit (``iterations`` 0 on both sides),
+whatever its size: it is the rounding residual of the normal equations and
+scales with their entries, which reach 1e10 on covariates of spread 1e4.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set, 218 records: three CSVs (q = 1, 2, 3) x four losses x
+The command set, 220 records: three CSVs (q = 1, 2, 3) x four losses x
 seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
 the constant, np and sp-proj routes (a shift that still makes the first
 step's moment matrix singular); a q = 2 integer lattice with ties, fitted
@@ -54,7 +57,8 @@ and a quoted ``"nan"`` below a blank line, among them); five ``simulate
 repeated method, an ``--out`` whose ``errors.csv`` is a directory, a
 negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
 runs that stall at a fixed point or a cycle;
-the ``power:1.5`` study reaches runs still moving at the iteration cap.  Two
+the ``power:1.5`` study reaches weighted runs that the full-step rule alone
+leaves still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
 with a zero covariate, where the curvature matrix holds inf * 0 = NaN, and
 three ``power:1.2`` np fits there put g2 = inf into the kernel sums; a
@@ -73,8 +77,15 @@ and by CV, on ``q1.csv`` and ``q2.csv``; the squared coordinate differences
 overflow, and by CV the spread does); one study
 has a bandwidth whose square underflows, one a bandwidth whose square is
 subnormal, and one asks for 64 workers for three replications.  In the
-n = 6 ``power:1.2`` study the first step of replication 148 fails, and one
-study names the loss ``huber:1.3456789``, which ``summary.json`` repeats.
+n = 6 ``power:1.2`` study first steps and oracle fits meet a working matrix
+that turns singular mid-solve (the first step of replication 148 raised
+there before such matrices were stepped past), and one study names the loss ``huber:1.3456789``, which ``summary.json`` repeats.
+Two oracle fits read a ``simulate`` sample (``smooth`` scale, written from
+the same draws as ``simulation.generate_sample``) whose largest weight is
+over 1e5 times the median: a ``power:1.5`` fit at n = 100, q = 3 that the
+full-Newton-step rule alone leaves at the iteration cap with a gradient
+norm near 1.4e3, and a ``power:1.2`` fit at n = 30, q = 1 whose curvature
+and IRLS matrices turn singular after the start.
 """
 
 from __future__ import annotations
@@ -158,6 +169,22 @@ def paired_csv_text(n: int, seed: int, spread: float, h: float) -> str:
     x[1::2] = x[:-1:2] + 0.7 * h * rng.normal(size=(n // 2, 2))
     y = 1.0 + x @ [1.0, -0.5] + (0.5 + np.abs(x[:, 0]) / spread) * rng.normal(size=n)
     lines = ["y,x1,x2"] + [",".join(format(v, ".17g") for v in (y[i], *x[i])) for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def smooth_sample_csv_text(n: int, q: int, seed: int, replication: int) -> str:
+    """``simulation.generate_sample(n, q, "smooth", replication_rng(seed, replication))``
+    as a CSV with 17-digit cells, drawn here so that neither side's code writes it."""
+    from scipy.special import ndtri
+
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
+    rng = np.random.Generator(np.random.Philox(stream))
+    beta = np.full(1 + q, 1.0 / np.sqrt(q + 1.0))
+    x = ndtri(rng.random((n, q)) + 2.0**-54)
+    eps = ndtri(rng.random(n) + 2.0**-54)
+    y = beta[0] + x @ beta[1:] + x @ beta[1:] / np.linalg.norm(beta[1:]) * eps
+    lines = [",".join(["y"] + [f"x{j + 1}" for j in range(q)])]
+    lines += [",".join(format(v, ".17g") for v in (y[i], *x[i])) for i in range(n)]
     return "\n".join(lines) + "\n"
 
 
@@ -266,6 +293,13 @@ def command_set() -> list[tuple[str, list[str]]]:
         "err-epsilon-np": q2 + ["--weights", "np", "--epsilon", "abc"],
         "five-rows-q3-power1.2": ["fit", "--data", "data/five_rows_q3.csv",
                                   "--loss", "power:1.2"],
+        "sim-q3-n100-power1.5-oracle": ["fit", "--data", "data/sim_q3_n100.csv",
+                                        "--loss", "power:1.5", "--weights", "oracle",
+                                        "--sigma-model", "smooth",
+                                        "--oracle-beta", "0.5,0.5,0.5,0.5"],
+        "sim-q1-n30-power1.2-oracle": ["fit", "--data", "data/sim_q1_n30.csv",
+                                       "--loss", "power:1.2", "--weights", "oracle",
+                                       "--sigma-model", "smooth", "--oracle-beta", "0.5,0.5"],
     }
     for route in ("constant", "np", "sp-proj"):
         more[f"q2-shift1e4/{route}"] = ["fit", "--data", "data/q2_shift1e4.csv",
@@ -396,6 +430,10 @@ def write_inputs(root: str) -> None:
         handle.write(fit_csv_text(2, CSV_SIZES["q2"][1], seed=2, y_scale=1e-170))
     with open(os.path.join(data, "paired_spread1e4.csv"), "w", newline="") as handle:
         handle.write(paired_csv_text(400, seed=17, spread=1e4, h=1.0))
+    for name, (n, q, seed, replication) in (("sim_q3_n100", (100, 3, 4, 3)),
+                                            ("sim_q1_n30", (30, 1, 1, 4))):
+        with open(os.path.join(data, f"{name}.csv"), "w", newline="") as handle:
+            handle.write(smooth_sample_csv_text(n, q, seed, replication))
     with open(os.path.join(data, "lattice_q1.csv"), "w", newline="") as handle:
         handle.write(lattice_csv_text(200, seed=11))
     with open(os.path.join(data, "lattice_q2.csv"), "w", newline="") as handle:
@@ -490,7 +528,7 @@ def numeric_moves(a, b, path=()):
 
 
 def compare(parent: dict, change: dict) -> dict:
-    identical, moved, different, rounding, certificate = [], {}, {}, {}, {}
+    identical, moved, different, rounding, certificate, residual = [], {}, {}, {}, {}, {}
     worst: dict[str, float] = {}
     for name in parent:
         a, b = parent[name], change[name]
@@ -498,7 +536,7 @@ def compare(parent: dict, change: dict) -> dict:
             identical.append(name)
             continue
         record_worst: dict[str, float] = {}
-        record_rounding, record_certificate = [], []
+        record_rounding, record_certificate, record_residual = [], [], []
         for part in sorted(set(a) | set(b)):
             if a.get(part) == b.get(part):
                 continue
@@ -506,8 +544,8 @@ def compare(parent: dict, change: dict) -> dict:
             if part in ("stdout", "stderr", "errors.csv", "summary.json") and a.get(part) \
                     and b.get(part) and a["exit"] == b["exit"]:
                 try:
-                    parsed = parse(part, a[part])
-                    moves = numeric_moves(parsed, parse(part, b[part]))
+                    parsed, changed = parse(part, a[part]), parse(part, b[part])
+                    moves = numeric_moves(parsed, changed)
                 except ValueError:
                     moves = None
             if moves is None:
@@ -516,10 +554,13 @@ def compare(parent: dict, change: dict) -> dict:
                 break
             for path, x, y in moves:
                 size = max(abs(x), abs(y))
+                solver_norm = part == "stdout" and path == ("solver", "gradient_norm")
                 if size <= ROUNDING:
                     record_rounding.append([part, list(path), x, y])
-                elif size <= CERTIFICATE_TOL and part == "stdout" \
-                        and path == ("solver", "gradient_norm") and parsed["solver"]["converged"]:
+                elif solver_norm and parsed["solver"]["iterations"] == 0 \
+                        and changed["solver"]["iterations"] == 0:
+                    record_residual.append([x, y])  # a closed-form fit on both sides
+                elif solver_norm and size <= CERTIFICATE_TOL and parsed["solver"]["converged"]:
                     record_certificate.append([x, y])  # equal flags, so both converged
                 else:
                     kind = field_kind(part, path)
@@ -530,11 +571,14 @@ def compare(parent: dict, change: dict) -> dict:
                 rounding[name] = record_rounding
             if record_certificate:
                 certificate[name] = record_certificate
+            if record_residual:
+                residual[name] = record_residual
             for kind, rel in record_worst.items():
                 worst[kind] = max(worst.get(kind, 0.0), rel)
     return {"records": len(parent), "identical": identical, "moved": moved,
             "worst_rel_by_kind": worst, "rounding_level": rounding,
-            "converged_certificate": certificate, "different": different}
+            "converged_certificate": certificate, "closed_form_residual": residual,
+            "different": different}
 
 
 def _head(text: bytes | None) -> str | None:
@@ -572,6 +616,9 @@ def main(argv=None) -> int:
     for name, moves in report["converged_certificate"].items():
         for x, y in moves:
             print(f"  converged certificate: {name} solver.gradient_norm: {x:.3g} -> {y:.3g}")
+    for name, moves in report["closed_form_residual"].items():
+        for x, y in moves:
+            print(f"  closed-form residual: {name} solver.gradient_norm: {x:.3g} -> {y:.3g}")
     for name, diff in report["different"].items():
         print(f"  different: {name} ({diff['part']})")
     too_far = max(report["worst_rel_by_kind"].values(), default=0.0) > RTOL
