@@ -7,20 +7,12 @@ vector lives in R^(1+q) with the intercept first.
 Three operations live here:
 
 * :func:`fit_wls` - closed-form weighted least squares,
-* :func:`fit_weighted_m` - damped-Newton / IRLS solver for a general convex
-  loss, driven by the estimating equation
-  ``n^-1 sum_i w_i rho'(|e_i|) sign(e_i) x~_i = 0``.  It evaluates the
-  estimating equation at most once per point, and an accepted full Newton
-  step hands its residuals, ``|e|`` and estimating equation on to the next
-  iteration.  For power losses with 1 < p < 2 the IRLS working matrix is
-  the Hessian over p - 1, so the IRLS point of a Newton step ``delta`` is
-  ``beta + (p-1) delta``: one residual pass, no solve.  It replaces a full
-  step that overshoots along ``delta`` when its objective is lower by more
-  than ``IRLS_MARGIN``, and a singular curvature after the start is stepped
-  past with ``|e|`` floored at ``CURVATURE_FLOOR`` times its median in the
-  curvature only.  The loss kernels take ``|e|`` unchecked, since it is
-  nonnegative by construction; the score is written once, in the helper
-  that :func:`estimating_equation` also uses,
+* :func:`fit_weighted_m` - damped-Newton solver for a general convex loss,
+  driven by the estimating equation
+  ``n^-1 sum_i w_i rho'(|e_i|) sign(e_i) x~_i = 0``, with one fallback
+  step wherever its curvature matrix is singular.  It evaluates the
+  estimating equation at most once per point; the score is written once,
+  in the helper that :func:`estimating_equation` also uses,
 * :func:`sandwich_covariance` - plug-in covariance
   ``C^-1 M C^-1 / n`` with ``C = n^-1 sum w_i g2(e_i) x~_i x~_i'`` and
   ``M = n^-1 sum w_i^2 g1(e_i) x~_i x~_i'``.
@@ -49,10 +41,10 @@ MAX_ITER = 100
 #: than this relative margin.  Below it the two objectives differ by
 #: rounding, and the choice would follow the row order.
 IRLS_MARGIN = 1e-12
-#: Power losses with 1 < p < 2: past a singular curvature and IRLS working
-#: matrix, the Newton step floors ``|e|`` at this multiple of the median
-#: nonzero ``|e|`` in the curvature, so that p(p-1)|e|^(p-2) stays within
-#: about CURVATURE_FLOOR^(p-2) of its median.
+#: Power losses with 1 < p < 2: past a singular curvature matrix, the
+#: fallback step floors ``|e|`` at this multiple of the median nonzero
+#: ``|e|`` in the curvature, so that p(p-1)|e|^(p-2) stays within about
+#: CURVATURE_FLOOR^(p-2) of its median.
 CURVATURE_FLOOR = 1e-6
 
 
@@ -155,30 +147,28 @@ def _rcond(mat: np.ndarray) -> float:
     return 1.0 / cond if math.isfinite(cond) else 0.0
 
 
+def _singular(what: str, rcond: float,
+              error: type[Exception] = DegenerateDesignError) -> Exception:
+    """The ``error`` for a matrix ``what`` of reciprocal condition ``rcond``."""
+    return error(f"{what} is numerically singular (reciprocal condition estimate "
+                 f"{rcond:.3e} < {RCOND_MIN:g})")
+
+
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str,
                error: type[Exception] = DegenerateDesignError) -> np.ndarray:
     """Solve a small symmetric system; raise ``error`` when it is near-singular.
 
     The one checked solve of the estimator layer.  The Newton step solves
-    unchecked: there a singular Hessian selects the IRLS step, not an error.
+    unchecked: there a singular Hessian selects the fallback step, not an
+    error.
     """
     rcond = _rcond(mat)
     if rcond < RCOND_MIN:
-        raise error(
-            f"{what} is numerically singular (reciprocal condition estimate "
-            f"{rcond:.3e} < {RCOND_MIN:g})"
-        )
+        raise _singular(what, rcond, error)
     sol = np.linalg.solve(mat, rhs)
     # one step of iterative refinement keeps the certificate tight
     sol += np.linalg.solve(mat, rhs - mat @ sol)
     return sol
-
-
-def _wls_solve(data: Dataset, xt, w, what: str):
-    """``(sigma, gamma, beta)`` of the weighted normal equations sigma beta = gamma."""
-    sigma = (xt * w[:, None]).T @ xt / data.n
-    gamma = xt.T @ (w * data.y) / data.n
-    return sigma, gamma, _solve_spd(sigma, gamma, what)
 
 
 def fit_wls(data: Dataset, weights) -> FitResult:
@@ -197,7 +187,10 @@ def fit_wls(data: Dataset, weights) -> FitResult:
         weight mass sits on fewer than q+1 points.
     """
     w = _check_weights(data, weights)
-    sigma, gamma, beta = _wls_solve(data, data.design_matrix(), w, "weighted moment matrix")
+    xt = data.design_matrix()
+    sigma = (xt * w[:, None]).T @ xt / data.n
+    gamma = xt.T @ (w * data.y) / data.n
+    beta = _solve_spd(sigma, gamma, "weighted moment matrix")
     grad = 2.0 * (gamma - sigma @ beta)
     return FitResult(
         beta=beta,
@@ -237,59 +230,66 @@ def _objective(loss: LossFunction, w, abs_e) -> float:
     return float(np.mean(w * loss._rho(abs_e)))
 
 
-def _irls_target(data: Dataset, loss: LossFunction, w, xt, abs_e) -> np.ndarray:
-    """One IRLS step: weighted LS with working weights w * rho'(|e|)/|e|."""
-    ratio = np.empty_like(abs_e)
-    nz = abs_e > 0
-    ratio[nz] = loss._rho_prime(abs_e[nz]) / abs_e[nz]
-    if np.any(~nz):
-        limit = float(loss._rho_second(np.asarray(0.0)))
-        if not np.isfinite(limit):
-            # rho''(0) diverges for power losses with p < 2; reuse the
-            # largest finite working ratio so the step stays well posed
-            limit = 10.0 * float(np.max(ratio[nz])) if np.any(nz) else 1.0
-        ratio[~nz] = limit
-    return _wls_solve(data, xt, w * ratio, "IRLS working moment matrix")[2]
+def _fallback_step(data: Dataset, loss: LossFunction, w, xt, abs_e, grad):
+    """``(step, rcond)`` of the working matrix that stands in for a singular Hessian.
+
+    The matrix is :func:`fit_weighted_m`'s fallback rule, solved against the
+    estimating equation ``grad``; ``step`` is None where its reciprocal
+    condition estimate ``rcond`` is below ``RCOND_MIN``.
+    """
+    if loss.family == "power" and loss.exponent < 2.0:
+        floor = CURVATURE_FLOOR * float(np.median(abs_e[abs_e > 0]))
+        curv = loss._rho_second(np.maximum(abs_e, floor))
+    else:
+        nz = abs_e > 0
+        curv = np.full_like(abs_e, float(loss._rho_second(np.asarray(0.0))))
+        curv[nz] = loss._rho_prime(abs_e[nz]) / abs_e[nz]
+    hess = (xt * (w * curv)[:, None]).T @ xt / data.n
+    rcond = _rcond(hess)
+    return (np.linalg.solve(hess, grad) if rcond >= RCOND_MIN else None), rcond
 
 
 def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
     """Weighted M-estimate ``argmin sum_i rho(|y_i - b1 - b2'x_i|) w_i``.
 
     The solver is damped Newton on the estimating equation with step-halving
-    on the weighted objective, falling back to an IRLS step whenever the
-    curvature matrix is singular (e.g. every residual beyond a Huber
-    cutoff, or a NaN from a power curvature of inf at an exact zero residual
-    times a zero covariate; numpy's invalid-value warning for that NaN is
-    silenced once per call).  It starts at the unweighted square-loss fit.
+    on the weighted objective.  It starts at the unweighted square-loss fit.
     Convergence means the max-norm of the estimating equation is at most
     ``TOL``; a fit that reaches ``MAX_ITER`` iterations is returned with
     ``converged=False`` and its final gradient norm, never silently.
 
-    Power losses rho = |e|^p with 1 < p < 2 change the step rule twice.
-    Since rho'(e)/e = rho''(e)/(p-1), the IRLS working matrix is the Hessian
-    over p - 1, and the IRLS point of a Newton step ``delta`` is
-    ``beta + (p-1) delta``.  Each full Newton step is weighed against it:
-    on one dominant term Newton maps a residual e to e (p-2)/(p-1), its
-    mirror image at p = 1.5, while the IRLS point maps it to 0.  Where the
-    objective still falls along ``delta`` at the full step (the estimating
-    equation there has a nonnegative inner product with ``delta``; it is
-    minus the objective's gradient), convexity puts every point behind the
-    full step, the IRLS point among them, no lower, and nothing more is
-    evaluated.  Elsewhere the IRLS point is taken when its objective is lower
-    by more than the relative margin ``IRLS_MARGIN``, so that rounding-level
-    differences, which follow the row order, never choose.  After the first
-    iteration a
-    singular curvature matrix of such a loss, from curvatures p(p-1)|e|^(p-2)
-    that blow up at near-zero residuals, takes no IRLS step, whose matrix is
-    the same one over p - 1: the Newton step floors ``|e|`` at
-    ``CURVATURE_FLOOR`` times the median nonzero ``|e|``, in the curvature
-    only (not in the estimating equation or the objective), and step halving
-    on the objective accepts it; where even that matrix is singular the
-    solver stops where it stands.  A start this singular takes the IRLS step
-    as other losses do, and a singular IRLS matrix there still raises
-    :class:`DegenerateDesignError`.
-    ``converged=False`` thus also covers a fit whose certificate lies out of
-    floating-point reach near such a residual: it returns a finite beta.
+    Wherever the curvature matrix is singular (every residual beyond a Huber
+    cutoff; curvatures p(p-1)|e|^(p-2) of a power loss with 1 < p < 2 that
+    blow up at near-zero residuals; or a NaN from such a curvature of inf at
+    an exact zero residual times a zero covariate, whose invalid-value
+    warning is silenced once per call), one working matrix is solved
+    against the estimating equation instead, at any iteration, and step
+    halving on the objective accepts that step.  Its curvature is
+    rho''(max(|e|, ``CURVATURE_FLOOR`` times the median nonzero |e|)) for
+    power losses with 1 < p < 2, floored in the curvature only (not in the
+    estimating equation or the objective), and the IRLS weight
+    rho'(|e|)/|e| for every other loss, rho''(0) at an exact zero.  Where
+    that matrix is singular too, the start raises
+    :class:`DegenerateDesignError` and a later iterate is returned where it
+    stands.  ``converged=False`` thus also covers a fit whose certificate
+    lies out of floating-point reach near such a residual: it returns a
+    finite beta.
+
+    Power losses rho = |e|^p with 1 < p < 2 weigh each full Newton step
+    against its IRLS point.  Since rho'(e)/e = rho''(e)/(p-1), the IRLS
+    working matrix is the Hessian over p - 1, and the IRLS point of a
+    Newton step ``delta`` is ``beta + (p-1) delta``: on one dominant term
+    Newton maps a residual e to e (p-2)/(p-1), its mirror image at p = 1.5,
+    while the IRLS point maps it to 0.  Where the objective still falls
+    along ``delta`` at the full step (the estimating equation there has a
+    nonnegative inner product with ``delta``; it is minus the objective's
+    gradient), convexity puts every point behind the full step, the IRLS
+    point among them, no lower, and nothing more is evaluated.  Elsewhere
+    the IRLS point is taken when its objective is lower by more than the
+    relative margin ``IRLS_MARGIN``, so that rounding-level differences,
+    which follow the row order, never choose.  After a damped Newton step
+    of any loss the IRLS point is tried too; other losses take it from the
+    fallback step's working matrix.
 
     Each point the solver visits is evaluated once: its estimating equation
     at most once, and its residuals ``e`` and ``|e|`` once per iteration
@@ -354,16 +354,14 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
         newton_ok = _rcond(hess) >= RCOND_MIN
         if newton_ok:
             step = np.linalg.solve(hess, grad)
-        elif sub_quadratic and k:
-            # the IRLS working matrix is this one over p - 1, singular too
-            # where curvatures p(p-1)|e|^(p-2) blow up at near-zero
-            # residuals; only at the start may that be an error
-            step = _floored_newton_step(data, loss, w, xt, abs_e, grad)
+        else:
+            step, rcond = _fallback_step(data, loss, w, xt, abs_e, grad)
             if step is None:
+                # singular too: only at the start is that an error
+                if not k:
+                    raise _singular("IRLS working moment matrix", rcond)
                 iterations += 1
                 break
-        else:
-            step = _irls_target(data, loss, w, xt, abs_e) - beta
         # the full step is also the first halving trial (beta + 1.0 * step
         # has the bits of beta + step), so it is evaluated once for both
         t = 1.0
@@ -394,7 +392,7 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
         if candidate is None:
             # step halving on the weighted objective.  A damped trial keeps
             # no residuals: the next iteration recomputes them, so no more
-            # n-vectors than one point's stay alive through the IRLS step
+            # n-vectors than one point's stay alive through the IRLS point
             current = _objective(loss, w, abs_e)
             for halving in range(40):
                 if halving:
@@ -415,12 +413,10 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
             # IRLS point is often better there.  t < 1 means the candidate,
             # if any, is the accepted halving trial, of objective ``value``
             if irls_point is None:
-                try:
-                    irls_point = (beta + (loss.exponent - 1.0) * step if sub_quadratic
-                                  else _irls_target(data, loss, w, xt, abs_e))
-                except DegenerateDesignError:
-                    pass
-                else:
+                irls_step = ((loss.exponent - 1.0) * step if sub_quadratic
+                             else _fallback_step(data, loss, w, xt, abs_e, grad)[0])
+                if irls_step is not None:
+                    irls_point = beta + irls_step
                     irls_value = _objective(loss, w, _residuals(data, xt, irls_point)[1])
             if irls_point is not None:
                 floor = value if candidate is not None else current
@@ -440,20 +436,6 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
         converged=bool(gnorm <= TOL),
         gradient_norm=gnorm,
     )
-
-
-def _floored_newton_step(data: Dataset, loss: LossFunction, w, xt, abs_e, grad):
-    """Newton step with ``|e|`` floored in the curvature only, or None if still singular.
-
-    The floor is ``CURVATURE_FLOOR`` times the median nonzero ``|e|``; the
-    estimating equation ``grad`` and the objective keep the exact residuals.
-    """
-    floor = CURVATURE_FLOOR * float(np.median(abs_e[abs_e > 0]))
-    curv = w * loss._rho_second(np.maximum(abs_e, floor))
-    hess = (xt * curv[:, None]).T @ xt / data.n
-    if _rcond(hess) < RCOND_MIN:
-        return None
-    return np.linalg.solve(hess, grad)
 
 
 @np.errstate(invalid="ignore")

@@ -212,13 +212,35 @@ class TestFitWeightedM:
         assert np.max(np.abs(b1 - b2)) <= 1e-8
 
 
+def reference_fallback_step(data, loss, w, xt, abs_e, grad):
+    """``(step, rcond)`` of the working matrix past a singular Hessian.
+
+    Power losses with 1 < p < 2 floor ``|e|`` in the curvature; other losses
+    take the IRLS weights rho'(|e|)/|e|, rho''(0) at an exact zero.
+    """
+    if loss.family == "power" and loss.exponent < 2:
+        floor = est.CURVATURE_FLOOR * np.median(abs_e[abs_e != 0])
+        curv = w * loss.rho_second(np.maximum(abs_e, floor))
+    else:
+        nz = abs_e != 0
+        ratio = np.full(data.n, loss.rho_second(0.0))
+        ratio[nz] = loss.rho_prime(abs_e[nz]) / abs_e[nz]
+        curv = w * ratio
+    hess = (xt * curv[:, None]).T @ xt / data.n
+    cond = np.linalg.cond(hess)
+    rcond = 1.0 / cond if np.isfinite(cond) else 0.0
+    return (np.linalg.solve(hess, grad) if rcond >= est.RCOND_MIN else None), rcond
+
+
 def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
-                             init=None, iterates=None):
+                             init=None, iterates=None, fallback=None):
     """The solver loop with no repeat stop and no reuse of evaluated points.
 
     Every iteration recomputes everything from its starting point.  When
     ``iterates`` is a list it receives every iterate, the returned one last.
+    ``fallback`` replaces :func:`reference_fallback_step`.
     """
+    fallback = fallback or reference_fallback_step
     w = est._check_weights(data, weights)
     xt = data.design_matrix()
     if init is None:
@@ -245,18 +267,15 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
         newton_ok = np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN
         if newton_ok:
             step = np.linalg.solve(hess, grad)
-        elif sub_quadratic and k > 0:
-            # Newton with |e| floored in the curvature, past a singular one
-            floor = est.CURVATURE_FLOOR * np.median(np.abs(e)[e != 0])
-            curv = w * loss.rho_second(np.maximum(np.abs(e), floor))
-            hess = (xt * curv[:, None]).T @ xt / data.n
-            cond = np.linalg.cond(hess)
-            if not (np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN):
+        else:
+            step, rcond = fallback(data, loss, w, xt, np.abs(e), grad)
+            if step is None and k == 0:
+                raise DegenerateDesignError(
+                    "IRLS working moment matrix is numerically singular (reciprocal "
+                    f"condition estimate {rcond:.3e} < {est.RCOND_MIN:g})")
+            if step is None:
                 iterations += 1
                 break
-            step = np.linalg.solve(hess, grad)
-        else:
-            step = est._irls_target(data, loss, w, xt, np.abs(e)) - beta
         candidate = irls_point = None
         t = 1.0
         if newton_ok:
@@ -283,10 +302,9 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
             if irls_point is None and sub_quadratic:
                 irls_point = beta + (loss.exponent - 1.0) * step
             elif irls_point is None:
-                try:
-                    irls_point = est._irls_target(data, loss, w, xt, np.abs(e))
-                except DegenerateDesignError:
-                    irls_point = None
+                irls_step = fallback(data, loss, w, xt, np.abs(e), grad)[0]
+                if irls_step is not None:
+                    irls_point = beta + irls_step
             if irls_point is not None:
                 floor = objective(candidate) if candidate is not None else current
                 if objective(irls_point) <= floor:
@@ -426,9 +444,9 @@ class TestSingularCurvature:
     def test_falls_back_to_irls_like_reference(self, case, monkeypatch):
         loss, init = SINGULAR_STARTS[case]
         data, w = Dataset(y=EXACT_Y, x=EXACT_X), np.ones(8)
-        irls = est._irls_target
+        fallback = est._fallback_step
         calls = []
-        monkeypatch.setattr(est, "_irls_target", lambda *a: calls.append(1) or irls(*a))
+        monkeypatch.setattr(est, "_fallback_step", lambda *a: calls.append(1) or fallback(*a))
         fit = m_solve(data, loss, w, init=init, max_iter=1)
         assert len(calls) == 1 and fit.iterations == 1
         for max_iter in MAX_ITERS:
@@ -440,24 +458,45 @@ class TestSingularCurvature:
 class TestRareSolverExits:
     # A singular IRLS matrix beside a nonsingular Hessian needs a near-tie of
     # their condition numbers: for Huber the IRLS matrix is the Hessian plus
-    # a PSD term, so a patch raises the error here.  (Power losses with
+    # a PSD term, so a patch makes it singular here.  (Power losses with
     # 1 < p < 2 take their IRLS point from the Newton step, no solve.)
     def test_singular_irls_after_damped_newton_step_is_skipped(self, monkeypatch):
         calls = []
 
         def singular(*args):
             calls.append(1)
-            raise DegenerateDesignError("IRLS working moment matrix is numerically singular")
+            return None, 0.0
 
-        monkeypatch.setattr(est, "_irls_target", singular)
+        monkeypatch.setattr(est, "_fallback_step", singular)
         data, w = oracle_case(1)
         loss, init = NON_SQUARE["huber:1.345"], [5.0, -5.0, 5.0]
         fit = m_solve(data, loss, w, init=init)
-        # the IRLS step itself would let the error out, so every call came
-        # after a damped Newton step
+        # past a singular Hessian the fit would have stopped short of the
+        # certificate, so every call came after a damped Newton step
         assert calls and fit.converged
         assert outcome(m_solve, data, loss, w, init=init) == \
-            outcome(reference_fit_weighted_m, data, loss, w, init=init)
+            outcome(reference_fit_weighted_m, data, loss, w, init=init, fallback=singular)
+
+    # huber:0.001 leaves at most one residual within its cutoff in several
+    # iterates, the start among them, so the fallback step runs at the start
+    # and mid-solve; past the start a singular working matrix stops the fit
+    def test_singular_fallback_after_the_start_stops_where_it_stands(self, monkeypatch):
+        fallback = est._fallback_step
+
+        def singular_after_start(calls):
+            def patched(*args):
+                calls.append(1)
+                return fallback(*args) if len(calls) == 1 else (None, 0.0)
+            return patched
+
+        calls = []
+        monkeypatch.setattr(est, "_fallback_step", singular_after_start(calls))
+        data, loss = Dataset(y=EXACT_Y, x=EXACT_X), LossFunction.huber(0.001)
+        fit = fit_weighted_m(data, loss, np.ones(8))
+        assert len(calls) == 2 and fit.iterations >= 2
+        assert not fit.converged and np.all(np.isfinite(fit.beta))
+        assert outcome(lambda: fit) == outcome(
+            reference_fit_weighted_m, data, loss, np.ones(8), fallback=singular_after_start([]))
 
     # No trial point passes the descent test, which a NaN objective forces:
     # the solver stops where it stands after one iteration
@@ -480,9 +519,9 @@ class TestZeroCovariateAtZeroResidual:
         data = Dataset(y=EXACT_Y, x=EXACT_X - 1.0)
         loss, w, init = NON_SQUARE["power:1.2"], np.ones(8), np.array([3.0, 1.0])
         xt = data.design_matrix()
-        irls = est._irls_target
+        fallback = est._fallback_step
         calls = []
-        monkeypatch.setattr(est, "_irls_target", lambda *a: calls.append(1) or irls(*a))
+        monkeypatch.setattr(est, "_fallback_step", lambda *a: calls.append(1) or fallback(*a))
         with np.errstate(invalid="ignore"):
             curv = loss.rho_second(np.abs(data.y - xt @ init))
             assert np.isnan((xt * curv[:, None]).T @ xt).any()
@@ -490,6 +529,17 @@ class TestZeroCovariateAtZeroResidual:
             with pytest.raises(DegenerateCurvatureError):
                 sandwich_covariance(data, loss, w, init)
         assert calls and fit.converged and np.all(np.isfinite(fit.beta))
+
+
+    def test_power_fit_on_zero_residual_rows_reaches_the_root(self):
+        # the rows of the CLI tests' zero-residual CSV: the start leaves the
+        # row with x1 = 0 at a residual of exactly 0, and the floored
+        # curvature there steps onto the interpolating root (intercept 1)
+        data = Dataset(y=np.array([0.0, 2.0, 1.0, 0.0, 2.0, 3.0, -1.0]),
+                       x=np.array([-3.0, -1.0, 0.0, 1.0, 3.0, 2.0, -2.0]))
+        fit = fit_weighted_m(data, NON_SQUARE["power:1.5"], np.ones(7))
+        assert fit.converged and fit.iterations <= 10
+        assert fit.beta[0] == 1.0
 
 
 class TestSinglePointEvaluation:
@@ -518,7 +568,7 @@ class TestSinglePointEvaluation:
 
 
 class TestSubQuadraticPowerSteps:
-    """Power losses with 1 < p < 2: the IRLS point and the floored Newton step."""
+    """Power losses with 1 < p < 2: the IRLS point and the floored fallback step."""
 
     def test_stalled_weighted_fit_reaches_the_root(self):
         # oracle weights up to 2.3e5 times their median: the full-step rule
@@ -563,10 +613,9 @@ class TestSubQuadraticPowerSteps:
         fit = fit_weighted_m(data, loss, w)
         assert not fit.converged
         assert np.all(np.isfinite(fit.beta)) and math.isfinite(fit.gradient_norm)
-        floored = est._floored_newton_step
+        fallback = est._fallback_step
         calls = []
-        monkeypatch.setattr(est, "_floored_newton_step",
-                            lambda *a: calls.append(1) or floored(*a))
+        monkeypatch.setattr(est, "_fallback_step", lambda *a: calls.append(1) or fallback(*a))
         assert outcome(fit_weighted_m, data, loss, w) == outcome(lambda: fit)
         assert calls
         assert outcome(fit_weighted_m, data, loss, w) == \

@@ -29,7 +29,7 @@ whatever its size: it is the rounding residual of the normal equations and
 scales with their entries, which reach 1e10 on covariates of spread 1e4.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set, 220 records: three CSVs (q = 1, 2, 3) x four losses x
+The command set, 222 records: three CSVs (q = 1, 2, 3) x four losses x
 seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
 the constant, np and sp-proj routes (a shift that still makes the first
 step's moment matrix singular); a q = 2 integer lattice with ties, fitted
@@ -85,7 +85,13 @@ the same draws as ``simulation.generate_sample``) whose largest weight is
 over 1e5 times the median: a ``power:1.5`` fit at n = 100, q = 3 that the
 full-Newton-step rule alone leaves at the iteration cap with a gradient
 norm near 1.4e3, and a ``power:1.2`` fit at n = 30, q = 1 whose curvature
-and IRLS matrices turn singular after the start.
+and IRLS matrices turn singular after the start.  ``huber:0.001`` and
+``huber:0.01`` fits on ``q3.csv`` start with at most two residuals within
+the cutoff, so they take the solver's fallback step for a singular
+curvature matrix at the start and mid-solve.  The 0.01 fit converges and
+prints its beta; the 0.001 fit takes the fallback step in 99 of its 100
+iterations, stops at the cap with two residuals within the cutoff, and
+exits 3 with a singular sandwich curvature matrix.
 """
 
 from __future__ import annotations
@@ -268,6 +274,8 @@ def command_set() -> list[tuple[str, list[str]]]:
         "h2e-162-np": q2 + ["--weights", "np", "--bandwidth", "2e-162"],
         "grid-1e-200:1:5": q2 + ["--weights", "np", "--cv-grid", "1e-200:1:5"],
         "power1000": q2 + ["--loss", "power:1000"],
+        "q3-huber0.001": q3 + ["--loss", "huber:0.001"],
+        "q3-huber0.01": q3 + ["--loss", "huber:0.01"],
         "sp-proj-eps1e300-h1": q2 + ["--weights", "sp-proj", "--epsilon", "1e300",
                                      "--bandwidth", "1"],
         "sp-proj-eps1e300-h1-q1": ["fit", "--data", "data/q1.csv", "--weights", "sp-proj",
