@@ -10,9 +10,14 @@ Three operations live here:
 * :func:`fit_weighted_m` - damped-Newton solver for a general convex loss,
   driven by the estimating equation
   ``n^-1 sum_i w_i rho'(|e_i|) sign(e_i) x~_i = 0``, with one fallback
-  step wherever its curvature matrix is singular.  It evaluates the
-  estimating equation at most once per point; the score is written once,
-  in the helper that :func:`estimating_equation` also uses,
+  step where its curvature matrix is singular.  Power losses with
+  1 < p < 2 test that only at the start: later, their curvatures are
+  positive and finite on the rank the start certified, so a tiny
+  reciprocal condition is one huge curvature at a near-zero residual, not
+  a null space, and only a non-finite matrix or one that LAPACK rejects
+  takes the fallback.  It evaluates the estimating equation at most once
+  per point; the score is written once, in the helper that
+  :func:`estimating_equation` also uses,
 * :func:`sandwich_covariance` - plug-in covariance
   ``C^-1 M C^-1 / n`` with ``C = n^-1 sum w_i g2(e_i) x~_i x~_i'`` and
   ``M = n^-1 sum w_i^2 g1(e_i) x~_i x~_i'``.
@@ -55,6 +60,7 @@ class Dataset:
     y: np.ndarray
     x: np.ndarray
     _design: np.ndarray = field(init=False, repr=False, compare=False)
+    _start: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -97,6 +103,18 @@ class Dataset:
         Newton step, and an in-place write would corrupt every later fit.
         """
         return self._design
+
+    def _least_squares_start(self) -> np.ndarray:
+        """The unit-weight least-squares beta, where every M-fit starts.
+
+        Solved on first use and kept, read-only: the first-step, parametric
+        and oracle fits of one sample all start there.
+        """
+        if self._start is None:
+            beta = fit_wls(self, np.ones(self.n)).beta
+            beta.flags.writeable = False
+            object.__setattr__(self, "_start", beta)
+        return self._start
 
 
 @dataclass(frozen=True)
@@ -227,7 +245,8 @@ def _z_map(data: Dataset, loss: LossFunction, w, xt, e, abs_e) -> np.ndarray:
 
 def _objective(loss: LossFunction, w, abs_e) -> float:
     """The weighted objective ``n^-1 sum_i w_i rho(|e_i|)`` from ``|e|``."""
-    return float(np.mean(w * loss._rho(abs_e)))
+    # np.mean's arithmetic (one pairwise sum, one division) without its wrapper
+    return float(np.add.reduce(w * loss._rho(abs_e)) / abs_e.shape[0])
 
 
 def _fallback_step(data: Dataset, loss: LossFunction, w, xt, abs_e, grad):
@@ -258,13 +277,24 @@ def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
     ``TOL``; a fit that reaches ``MAX_ITER`` iterations is returned with
     ``converged=False`` and its final gradient norm, never silently.
 
-    Wherever the curvature matrix is singular (every residual beyond a Huber
+    Where the curvature matrix is singular (every residual beyond a Huber
     cutoff; curvatures p(p-1)|e|^(p-2) of a power loss with 1 < p < 2 that
     blow up at near-zero residuals; or a NaN from such a curvature of inf at
     an exact zero residual times a zero covariate, whose invalid-value
     warning is silenced once per call), one working matrix is solved
-    against the estimating equation instead, at any iteration, and step
-    halving on the objective accepts that step.  Its curvature is
+    against the estimating equation instead, and step halving on the
+    objective accepts that step.  Every loss tests the curvature matrix's
+    reciprocal condition against ``RCOND_MIN`` at the start; every loss
+    but a power loss with 1 < p < 2 tests it at every iteration.  Past the
+    start such a power loss takes the Newton step wherever the matrix is
+    finite and LAPACK solves it to a finite step: the start's test has
+    certified the rank of the weighted design, and every later curvature
+    is positive and finite, so a tiny reciprocal condition there is one
+    huge curvature at a near-zero residual, whose residual the Newton step
+    rightly barely moves, and not a null space.  The fallback serves such
+    a loss only at the start, at an exact zero residual (a non-finite
+    matrix) and where LAPACK rejects the matrix or the step overflows.
+    The fallback's curvature is
     rho''(max(|e|, ``CURVATURE_FLOOR`` times the median nonzero |e|)) for
     power losses with 1 < p < 2, floored in the curvature only (not in the
     estimating equation or the objective), and the IRLS weight
@@ -299,9 +329,11 @@ def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
     take ``|e|`` unchecked, since it is nonnegative by construction.
 
     With the data, loss and weights fixed, one iteration is a pure function
-    of the iterate's bits (only the start may raise where a later iterate
-    would be stepped past, and the start is never met again: its repeat
-    stops the loop first).  An iterate met a second time therefore starts a
+    of the iterate's bits, apart from the start.  The start may raise where
+    a later iterate would be stepped past, but it is never met again: its
+    repeat stops the loop first.  A power loss with 1 < p < 2 whose start
+    took the fallback step would take the Newton step at a later visit, so
+    that start anchors no cycle.  An iterate met a second time therefore starts a
     cycle the solver would repeat until the cap: first seen at iteration j
     and met again at iteration k, it recurs with period ``k - j``.  The
     solver stops there and returns the iterate the full run would end on,
@@ -319,7 +351,7 @@ def fit_weighted_m(data: Dataset, loss: LossFunction, weights) -> FitResult:
         n nonnegative reals.
     """
     w = _check_weights(data, weights)
-    return _m_solve(data, loss, w, fit_wls(data, np.ones(data.n)).beta, MAX_ITER)
+    return _m_solve(data, loss, w, data._least_squares_start().copy(), MAX_ITER)
 
 
 @np.errstate(invalid="ignore")
@@ -351,10 +383,26 @@ def _m_solve(data: Dataset, loss: LossFunction, w, beta, max_iter: int) -> FitRe
             break
         curv = w * loss._rho_second(abs_e)
         hess = (xt * curv[:, None]).T @ xt / data.n
-        newton_ok = _rcond(hess) >= RCOND_MIN
-        if newton_ok:
+        step = None
+        if sub_quadratic and k:
+            # no rcond test past the start: the start's test certified the
+            # design's rank, so a tiny rcond here is one huge curvature at a
+            # near-zero residual, not a null space
+            if np.isfinite(hess).all():
+                try:
+                    step = np.linalg.solve(hess, grad)
+                except np.linalg.LinAlgError:
+                    pass
+            if step is not None and not np.isfinite(step).all():
+                step = None
+        elif _rcond(hess) >= RCOND_MIN:
             step = np.linalg.solve(hess, grad)
-        else:
+        newton_ok = step is not None
+        if not newton_ok:
+            if sub_quadratic and not k:
+                # a later visit to the start may take the Newton step that
+                # the start's test refused, so its repeat is no cycle
+                seen.clear()
             step, rcond = _fallback_step(data, loss, w, xt, abs_e, grad)
             if step is None:
                 # singular too: only at the start is that an error

@@ -18,7 +18,8 @@ from adaweight import (
     fit_wls,
     sandwich_covariance,
 )
-from adaweight.simulation import generate_sample, inverse_variance_map, replication_rng
+from adaweight.simulation import (SimConfig, generate_sample, inverse_variance_map,
+                                  replication_rng, run_replication)
 from adaweight.weights import oracle_weights
 
 SQUARE = LossFunction.square()
@@ -233,12 +234,16 @@ def reference_fallback_step(data, loss, w, xt, abs_e, grad):
 
 
 def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
-                             init=None, iterates=None, fallback=None):
+                             init=None, iterates=None, fallback=None,
+                             rcond_past_start=False):
     """The solver loop with no repeat stop and no reuse of evaluated points.
 
     Every iteration recomputes everything from its starting point.  When
     ``iterates`` is a list it receives every iterate, the returned one last.
-    ``fallback`` replaces :func:`reference_fallback_step`.
+    ``fallback`` replaces :func:`reference_fallback_step`.  Power losses with
+    1 < p < 2 test the curvature matrix's reciprocal condition at the start
+    only; ``rcond_past_start`` tests it at every iteration, as the solver
+    did before it took the Newton step through ill-conditioned curvature.
     """
     fallback = fallback or reference_fallback_step
     w = est._check_weights(data, weights)
@@ -263,11 +268,22 @@ def reference_fit_weighted_m(data, loss, weights, *, tol=1e-10, max_iter=100,
             break
         curv = w * loss.rho_second(np.abs(e))
         hess = (xt * curv[:, None]).T @ xt / data.n
-        cond = np.linalg.cond(hess)
-        newton_ok = np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN
-        if newton_ok:
-            step = np.linalg.solve(hess, grad)
+        step = None
+        if sub_quadratic and k > 0 and not rcond_past_start:
+            # past the start: any finite matrix that LAPACK solves to a finite step
+            if np.all(np.isfinite(hess)):
+                try:
+                    step = np.linalg.solve(hess, grad)
+                except np.linalg.LinAlgError:
+                    step = None
+                if step is not None and not np.all(np.isfinite(step)):
+                    step = None
         else:
+            cond = np.linalg.cond(hess)
+            if np.isfinite(cond) and 1.0 / cond >= est.RCOND_MIN:
+                step = np.linalg.solve(hess, grad)
+        newton_ok = step is not None
+        if not newton_ok:
             step, rcond = fallback(data, loss, w, xt, np.abs(e), grad)
             if step is None and k == 0:
                 raise DegenerateDesignError(
@@ -337,6 +353,18 @@ def outcome(solver, *args, **kwargs):
     return fit.beta.tobytes(), fit.gradient_norm.hex(), fit.converged, fit.iterations
 
 
+def curvature_conditions(data, loss, w, iterates):
+    """``(rcond, finite)`` of the curvature matrix at each of ``iterates``."""
+    xt = data.design_matrix()
+    conditions = []
+    for beta in iterates:
+        with np.errstate(invalid="ignore"):
+            curv = w * loss.rho_second(np.abs(data.y - xt @ beta))
+            hess = (xt * curv[:, None]).T @ xt / data.n
+        conditions.append((est._rcond(hess), bool(np.all(np.isfinite(hess)))))
+    return conditions
+
+
 def first_repeat(iterates):
     """``(j, period)`` of the first iterate seen twice, or None."""
     seen = {}
@@ -347,9 +375,9 @@ def first_repeat(iterates):
     return None
 
 
-def oracle_case(r):
-    """A power:1.2 oracle fit input from the smooth-scale design, n = 100."""
-    data, beta0 = generate_sample(100, 2, "smooth", replication_rng(1, r))
+def oracle_case(r, n=100, q=2, seed=1):
+    """An oracle fit input from the smooth-scale design, n = 100 and q = 2 by default."""
+    data, beta0 = generate_sample(n, q, "smooth", replication_rng(seed, r))
     family = inverse_variance_map("smooth")
     return data, oracle_weights(lambda x: family(x, beta0), data)
 
@@ -402,6 +430,41 @@ class TestRepeatStop:
         kwargs = dict(max_iter=max_iter, init=init)
         assert outcome(m_solve, data, NON_SQUARE[loss], w, **kwargs) == \
             outcome(reference_fit_weighted_m, data, NON_SQUARE[loss], w, **kwargs)
+
+    def test_start_that_took_the_fallback_anchors_no_cycle(self, monkeypatch):
+        # each point of a stalled cycle as the start, with its curvature test
+        # made to fail: the fallback step leaves the cycle, and where the
+        # path meets the start again the full run takes the Newton step
+        data, w = oracle_case(STALLED[1])
+        loss = NON_SQUARE["power:1.2"]
+        iterates = []
+        reference_fit_weighted_m(data, loss, w, iterates=iterates)
+        j, period = first_repeat(iterates[:-1])
+        rcond = est._rcond
+        revisits = 0
+        for start in iterates[j:j + period]:
+            def solve(max_iter):
+                calls = []
+
+                def start_test_fails(mat):
+                    calls.append(1)
+                    return 0.0 if len(calls) == 1 else rcond(mat)
+
+                monkeypatch.setattr(est, "_rcond", start_test_fails)
+                return m_solve(data, loss, w, init=start, max_iter=max_iter)
+
+            after_fallback = solve(1).beta
+            assert curvature_conditions(data, loss, w, [after_fallback])[0][0] >= est.RCOND_MIN
+            path = []
+            reference_fit_weighted_m(data, loss, w, init=after_fallback, iterates=path)
+            revisits += any(point.tobytes() == start.tobytes() for point in path)
+            for max_iter in MAX_ITERS[1:]:
+                fit = solve(max_iter)
+                expected = reference_fit_weighted_m(data, loss, w, init=after_fallback,
+                                                    max_iter=max_iter - 1)
+                assert (fit.beta.tobytes(), fit.gradient_norm, fit.iterations) == \
+                    (expected.beta.tobytes(), expected.gradient_norm, expected.iterations + 1)
+        assert revisits
 
     def test_stalled_fit_evaluates_far_less(self, monkeypatch):
         calls = []
@@ -604,22 +667,80 @@ class TestSubQuadraticPowerSteps:
         assert abs((data.y - xt @ fit.beta)[3]) < 1e-5 * abs(e[3])
 
     def test_singular_working_matrix_mid_solve_is_stepped_past(self, monkeypatch):
-        # the curvature and IRLS matrices turn singular after the start,
-        # where a residual of a heavy-weight point nears 0
-        data, beta0 = generate_sample(30, 1, "smooth", replication_rng(1, 4))
-        family = inverse_variance_map("smooth")
-        w = oracle_weights(lambda x: family(x, beta0), data)
+        # the curvature matrix's reciprocal condition falls below RCOND_MIN
+        # after the start, where a residual of a heavy-weight point nears 0;
+        # the matrix stays finite, so the Newton step goes through it
+        data, w = oracle_case(4, n=30, q=1)
         loss = NON_SQUARE["power:1.2"]
         fit = fit_weighted_m(data, loss, w)
         assert not fit.converged
         assert np.all(np.isfinite(fit.beta)) and math.isfinite(fit.gradient_norm)
+        iterates = []
+        reference = reference_fit_weighted_m(data, loss, w, iterates=iterates)
+        assert outcome(lambda: fit) == outcome(lambda: reference)
+        assert any(rcond < est.RCOND_MIN and finite
+                   for rcond, finite in curvature_conditions(data, loss, w, iterates[1:-1]))
         fallback = est._fallback_step
         calls = []
         monkeypatch.setattr(est, "_fallback_step", lambda *a: calls.append(1) or fallback(*a))
         assert outcome(fit_weighted_m, data, loss, w) == outcome(lambda: fit)
-        assert calls
-        assert outcome(fit_weighted_m, data, loss, w) == \
-            outcome(reference_fit_weighted_m, data, loss, w)
+        assert not calls
+
+    def test_ill_conditioned_curvature_takes_the_newton_step(self, monkeypatch):
+        # n = 1000: the old rule took the floored fallback step at 90 of the
+        # 100 iterates, each undone by about 18 halvings, and ended at
+        # |Psi_n| 3.88; the Newton step ends at 1.2e-3 with 66 evaluations
+        data, w = oracle_case(4, n=1000, q=3, seed=1000)
+        loss = NON_SQUARE["power:1.2"]
+        fallback, objective = est._fallback_step, est._objective
+        fallbacks, evaluations = [], []
+        monkeypatch.setattr(est, "_fallback_step",
+                            lambda *a: fallbacks.append(1) or fallback(*a))
+        monkeypatch.setattr(est, "_objective", lambda *a: evaluations.append(1) or objective(*a))
+        fit = fit_weighted_m(data, loss, w)
+        solver_evaluations = len(evaluations)
+        assert not fallbacks
+        iterates = []
+        reference = reference_fit_weighted_m(data, loss, w, iterates=iterates)
+        assert outcome(lambda: fit) == outcome(lambda: reference)
+        # no fallback ran, so every step from these iterates was a Newton step
+        conditions = curvature_conditions(data, loss, w, iterates[:-1])
+        assert conditions[0][0] >= est.RCOND_MIN
+        assert sum(rcond < est.RCOND_MIN and finite for rcond, finite in conditions) >= 10
+        # the old rule never repeats an iterate here, so its solver and the
+        # reference loop make the same evaluations (1706 and 1707)
+        evaluations.clear()
+        old = reference_fit_weighted_m(
+            data, loss, w, rcond_past_start=True,
+            fallback=lambda *a: fallbacks.append(1) or reference_fallback_step(*a))
+        assert len(fallbacks) >= 10 and fit.gradient_norm < old.gradient_norm
+        assert 10 * solver_evaluations <= len(evaluations)
+
+    @pytest.mark.parametrize("curvature", ("zero", "infinite", "tiny"))
+    def test_fallback_serves_matrices_newton_cannot_use(self, curvature, monkeypatch):
+        # the curvature of iteration 1 only is replaced by one that makes
+        # LAPACK reject the matrix (all zero), makes the matrix non-finite
+        # (an inf, as at an exact zero residual) or makes the step overflow
+        # (subnormal curvatures)
+        replace = {"zero": np.zeros_like,
+                   "infinite": lambda c: np.where(c == c.max(), np.inf, c),
+                   "tiny": lambda c: np.full_like(c, 1e-310)}[curvature]
+        rho_second, fallback = LossFunction._rho_second, est._fallback_step
+        curvatures, fallbacks = [], []
+
+        def patched(self, t):
+            curvatures.append(1)
+            value = rho_second(self, t)
+            return replace(value) if len(curvatures) == 2 else value
+
+        monkeypatch.setattr(LossFunction, "_rho_second", patched)
+        monkeypatch.setattr(est, "_fallback_step",
+                            lambda *a: fallbacks.append(len(curvatures)) or fallback(*a))
+        data, w = oracle_case(0)
+        fit = m_solve(data, NON_SQUARE["power:1.2"], w)
+        # the fallback step ran on iteration 1's curvature, and only there
+        assert fallbacks == [2]
+        assert fit.iterations >= 2 and np.all(np.isfinite(fit.beta))
 
     def test_singular_start_still_raises(self):
         # all the weight on one point: every working matrix is singular
@@ -628,6 +749,51 @@ class TestSubQuadraticPowerSteps:
         w[2] = 1.0
         with pytest.raises(DegenerateDesignError, match="IRLS working moment matrix"):
             fit_weighted_m(data, NON_SQUARE["power:1.2"], w)
+
+
+class TestBitIdenticalTrims:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        loss=st.sampled_from(["square", *sorted(NON_SQUARE)]),
+        data=st.data(),
+        n=st.integers(1, 300),
+    )
+    def test_objective_has_the_bits_of_the_mean(self, loss, data, n):
+        loss = SQUARE if loss == "square" else NON_SQUARE[loss]
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
+        abs_e = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+        assert est._objective(loss, w, abs_e).hex() == float(np.mean(w * loss._rho(abs_e))).hex()
+
+    def test_least_squares_start_is_solved_once_and_read_only(self):
+        data, _ = random_instance(np.random.default_rng(29))
+        start = data._least_squares_start()
+        assert start is data._least_squares_start()
+        assert start.tobytes() == fit_wls(data, np.ones(data.n)).beta.tobytes()
+        assert not start.flags.writeable
+        with pytest.raises(ValueError):
+            start[0] = 0.0
+        # a fit that converges at the start returns a writable copy of it
+        fit = fit_weighted_m(data, LossFunction.huber(1e6), np.ones(data.n))
+        assert fit.iterations == 0 and fit.beta.tobytes() == start.tobytes()
+        assert fit.beta.flags.writeable
+
+    def test_replication_solves_one_unit_weight_start(self, monkeypatch):
+        calls = []
+        solve = est.fit_wls
+
+        def counted(data, weights):
+            if np.all(np.asarray(weights) == 1.0):
+                calls.append(1)
+            return solve(data, weights)
+
+        monkeypatch.setattr(est, "fit_wls", counted)
+        config = SimConfig(n=200, q=2, sigma="smooth", replications=1, seed=1,
+                           methods=("first-step", "parametric", "oracle"),
+                           loss=NON_SQUARE["power:1.2"])
+        outcomes = run_replication(config, 0)
+        assert sorted(outcomes) == ["first-step", "oracle", "parametric"]
+        assert all(outcome.ok for outcome in outcomes.values())
+        assert len(calls) == 1
 
 
 class TestFitWeightedMInputs:

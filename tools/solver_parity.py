@@ -22,10 +22,17 @@ A record is one fit: the bits of its beta and gradient norm, its
 iterations and its converged flag, or the error it raised.  The report
 lists every fit whose record differs between the sides, by workload, loss,
 operation and position among that operation's fits, and every operation
-whose exit code differs.  It gives the solver time summed per (workload,
-loss) on each side, from the two sides' runs one after the other, so read
-a ratio against the spread of a parent-against-parent run.  The exit
-status is 0 when every record and exit code is identical, else 1.
+whose exit code differs.  Each differing fit that both sides finished
+carries its certificate ratio (the change's gradient norm over the
+parent's) and its relative beta move (the largest coefficient change over
+the parent's largest coefficient).  Fits whose converged flag flips, or
+that raise on one side only, are listed apart as flips; over the others
+the report counts the certificates better and worse by more than 2x and
+gives the worst certificate ratio and the worst beta move.  It gives the
+solver time summed per (workload, loss) on each side, from the two sides'
+runs one after the other, so read a ratio against the spread of a
+parent-against-parent run.  The exit status is 0 when every record and
+exit code is identical, else 1.
 """
 
 from __future__ import annotations
@@ -34,11 +41,14 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 from cli_parity import smooth_sample_csv_text
 
@@ -107,6 +117,27 @@ def capture(tree: str, ops) -> dict:
     return {"fits": fits, "exits": exits}
 
 
+def moved(a: dict, b: dict) -> dict:
+    """Certificate ratio and relative beta move from fit ``a`` to fit ``b``."""
+    beta_a, beta_b = (np.frombuffer(bytes.fromhex(f["beta"])) for f in (a, b))
+    gnorm_a, gnorm_b = (float.fromhex(f["gradient_norm"]) for f in (a, b))
+    scale = np.abs(beta_a).max()
+    return {"certificate_ratio": gnorm_b / gnorm_a if gnorm_a else math.inf,
+            "beta_move": float(np.abs(beta_b - beta_a).max() / scale) if scale else math.inf}
+
+
+def certificates(different: list) -> dict:
+    """Counts and extremes over the differing fits that both sides finished, unflipped."""
+    kept = [d for d in different if "certificate_ratio" in d and not d["flip"]]
+    ratios = [d["certificate_ratio"] for d in kept]
+    moves = [d["beta_move"] for d in kept]
+    return {"fits": len(ratios),
+            "better": sum(r < 0.5 for r in ratios),
+            "worse": sum(r > 2.0 for r in ratios),
+            "worst_ratio": max(ratios, default=None),
+            "worst_beta_move": max(moves, default=None)}
+
+
 def compare(parent: dict, change: dict, ops) -> dict:
     different, positions = [], {}
     for a, b in zip(parent["fits"], change["fits"]):
@@ -114,8 +145,12 @@ def compare(parent: dict, change: dict, ops) -> dict:
         position = positions[key] = positions.get(key, -1) + 1
         fields = sorted(k for k in set(a) | set(b) if k != "seconds" and a.get(k) != b.get(k))
         if fields:
+            finished = "error" not in a and "error" not in b
             different.append({"workload": a["workload"], "loss": a["loss"],
                               "operation": a["operation"], "fit": position, "fields": fields,
+                              # a side that raised has no converged flag
+                              "flip": a.get("converged") != b.get("converged"),
+                              **(moved(a, b) if finished else {}),
                               "parent": {k: a.get(k) for k in fields},
                               "change": {k: b.get(k) for k in fields}})
     exits = [{"operation": f"{workload} {loss} {name}", "parent": x, "change": y}
@@ -130,8 +165,9 @@ def compare(parent: dict, change: dict, ops) -> dict:
     for fit in parent["fits"]:
         counts[fit["workload"]] = counts.get(fit["workload"], 0) + 1
     return {"fits": {"parent": len(parent["fits"]), "change": len(change["fits"])},
-            "fits_by_workload": counts, "different": different, "exits_different": exits,
-            "solver_seconds": seconds}
+            "fits_by_workload": counts, "different": different,
+            "flips": sum(d["flip"] for d in different), "certificates": certificates(different),
+            "exits_different": exits, "solver_seconds": seconds}
 
 
 def seed_range(text: str) -> list[int]:
@@ -193,9 +229,19 @@ def main(argv=None) -> int:
         ratio = side["change"] / side["parent"] if side["parent"] else float("nan")
         print(f"  solver time {key}: parent {side['parent']:.3f} s, "
               f"change {side['change']:.3f} s ({ratio:.2f}x)")
+    cert = report["certificates"]
+    if report["different"]:
+        print(f"  converged flag flipped or raised on one side: {report['flips']} fits")
+    if cert["fits"]:
+        print(f"  certificates of the other {cert['fits']}: {cert['better']} better and "
+              f"{cert['worse']} worse by more than 2x; worst ratio "
+              f"{cert['worst_ratio']:.3g} (change / parent), worst relative beta move "
+              f"{cert['worst_beta_move']:.3g}")
     for diff in report["different"]:
-        print(f"  different: {diff['workload']} {diff['loss']} {diff['operation']} "
-              f"fit {diff['fit']}: {', '.join(diff['fields'])}")
+        detail = (f" (certificate ratio {diff['certificate_ratio']:.3g}, beta move "
+                  f"{diff['beta_move']:.3g})" if "beta_move" in diff else "")
+        print(f"  {'flip' if diff['flip'] else 'different'}: {diff['workload']} {diff['loss']} "
+              f"{diff['operation']} fit {diff['fit']}: {', '.join(diff['fields'])}{detail}")
     for diff in report["exits_different"]:
         print(f"  exit code: {diff['operation']}: {diff['parent']} -> {diff['change']}")
     same = not report["different"] and not report["exits_different"]
