@@ -50,7 +50,12 @@ finds the bin up to the candidates sharing a cell, one on the default grid,
 and a binary search settles those.  A block's rows are scored once the walk
 passes them, so sums are kept only for the b rows the band still reaches: a
 scan costs O(n b + m log s) for m in-window pairs and s candidates per cell,
-and holds O((BLOCK_ROWS + G) b) memory for G <= GRID_CHUNK per walk.
+and holds O((BLOCK_ROWS + G) b) memory for G <= GRID_CHUNK per walk.  Those
+sums sit in one (4, b G) buffer of the walk's arena
+(:func:`adaweight.weights.borrowed_arena`), moved forward in place past each
+block.  A block's pair arrays, at most five alive at once, use the arena's
+work buffer and, once its distances are read, its distance buffer; only the
+pair indices are allocated anew for every block.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ import numpy as np
 
 from .errors import BandwidthGridError, DataError, NumericalError
 from .estimators import Dataset
-from .weights import (FirstStepFit, smoothing_coordinates, sorted_band, squared_bandwidth,
-                      window_sums)
+from .weights import (FirstStepFit, arena_buffer, borrowed_arena, smoothing_coordinates,
+                      sorted_band, squared_bandwidth, window_sums)
 
 #: Minimum fraction of evaluable leave-one-out terms for a candidate.
 MIN_VALID_FRACTION = 0.8
@@ -144,39 +149,75 @@ def _band_terms(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
     depth = int(np.max(np.diff(start, append=g))).bit_length()
     h2pad = np.append(h2s, np.full(1 << depth, np.inf))
 
-    def scatter(sums, at, ec, dist):
+    def scatter(sums, at, e, dist, product):
         """Add the counts and the sums of e2, d2 and d2 e2 at (row, bin) ``at`` to ``sums``."""
-        for s, w in zip(sums, (None, ec, dist, ec * dist)):
+        for s, w in zip(sums, (None, e, dist, np.multiply(e, dist, out=product))):
             s += np.bincount(at, weights=w, minlength=s.size)
 
-    order, blocks = sorted_band(points, h2s[-1])
-    e2 = e2[order]
-    sums = np.zeros((4, 0))  # (row, bin) sums of the rows from lo that the walk has reached
-    for lo, d2 in blocks:
+    def scatter_block(arena, sums, lo, d2):
+        """Bin the block's pairs inside the largest window and add each to both its points.
+
+        The pair arrays live in the arena: the work buffer, once the band's
+        distances are made, and the distance buffer, once they are read.
+        """
         r, w = d2.shape
-        sums = np.concatenate([sums, np.zeros((4, w * g - sums.shape[1]))], axis=1)
-        inside = d2 < h2s[-1]
+        inside = arena_buffer(arena, "work", d2.size).view(bool)[: d2.size].reshape(r, w)
+        np.less(d2, h2s[-1], out=inside)
         inside[:, :r] &= ~np.tri(r, dtype=bool)  # a pair within the block from its first row
-        counts = np.count_nonzero(inside, axis=1)
         col = np.flatnonzero(inside)
+        m = col.size
         del inside
-        dist = d2.ravel()[col]
-        col -= np.repeat(np.arange(r) * w, counts)
-        cell = dist.view(np.int64) >> TABLE_SHIFT
+        work = arena_buffer(arena, "work", 3 * m + m // 8 + 1)
+        dist, scratch, spare = work[: 3 * m].reshape(3, m)
+        np.take(d2.ravel(), col, out=dist, mode="clip")
+        rows = np.floor_divide(col, w, out=spare.view(np.int64))
+        col -= np.multiply(rows, w, out=scratch.view(np.int64))
+        cell = np.right_shift(dist.view(np.int64), TABLE_SHIFT, out=scratch.view(np.int64))
         cell -= c0
-        cell = start[np.maximum(cell, 0, out=cell)]
+        bins = np.take(start, np.maximum(cell, 0, out=cell), out=d2.ravel()[:m].view(np.int64),
+                       mode="clip")
+        above = work[3 * m:].view(bool)[:m]
         for step in (1 << b for b in reversed(range(depth))):
-            np.add(cell, step, out=cell, where=dist >= h2pad[step - 1:][cell])
-        ec = e2[lo:][col]
+            bound = np.take(h2pad[step - 1:], bins, out=scratch, mode="clip")
+            np.add(bins, step, out=bins, where=np.greater_equal(dist, bound, out=above))
+        ec = np.take(e2[lo:], col, out=scratch, mode="clip")
         col *= g
-        col += cell
-        cell += np.repeat(np.arange(0, r * g, g), counts)
-        scatter(sums[:, : r * g], cell, ec, dist)  # each pair to its row
-        del cell, ec
-        scatter(sums, col, np.repeat(e2[lo:lo + r], counts), dist)  # and to its column
-        k, s_e, s_d, s_de = np.cumsum(sums[:, : r * g].reshape(4, r, g), axis=2)
-        yield _loo_terms(e2[lo:lo + r, None], k, k - s_d / h2s, s_e - s_de / h2s)
-        sums = sums[:, r * g:]
+        col += bins
+        rows *= g
+        bins += rows
+        scatter(sums[:, : r * g], bins, ec, dist, spare)  # each pair to its row
+        er = np.take(np.repeat(e2[lo:lo + r], g), bins, out=scratch, mode="clip")
+        scatter(sums, col, er, dist, spare)  # and to its column
+
+    with borrowed_arena() as arena:
+        order, blocks = sorted_band(points, h2s[-1], arena)
+        e2 = e2[order]
+        held = 0  # (row, bin) sums carried over for the rows past the last block
+        for lo, d2 in blocks:
+            r, w = d2.shape
+            sums = _carried_sums(arena, held, w * g)
+            scatter_block(arena, sums, lo, d2)
+            prefix = arena_buffer(arena, "prefix", 4 * r * g).reshape(4, r, g)
+            k, s_e, s_d, s_de = np.cumsum(sums[:, : r * g].reshape(4, r, g), axis=2, out=prefix)
+            yield _loo_terms(e2[lo:lo + r, None], k, k - s_d / h2s, s_e - s_de / h2s)
+            held = (w - r) * g
+            for row in sums:
+                row[:held] = row[r * g:w * g]  # one-dimensional, so moved in place
+            del sums, row  # so that a wider band can free the buffer as it grows it
+
+
+def _carried_sums(arena: dict, held: int, size: int) -> np.ndarray:
+    """The arena's ``(4, size)`` (row, bin) sums: the first ``held`` columns kept, the rest zero."""
+    buf = arena.get("sums")
+    if buf is None or buf.size < 4 * size:
+        kept = None if buf is None else buf.reshape(4, -1)[:, :held].copy()
+        del buf  # so that growing frees it
+        buf = arena_buffer(arena, "sums", 4 * size)
+        if kept is not None:
+            buf.reshape(4, -1)[:, :held] = kept
+    sums = buf.reshape(4, -1)[:, :size]
+    sums[:, held:] = 0.0
+    return sums
 
 
 def cv_bandwidth(

@@ -32,8 +32,8 @@ nonparametric curve estimators*, JCGS 3(1), 1994).  The points are projected
 on their principal axis and sorted once along it.  The band of each block of
 BLOCK_ROWS sorted rows holds the sorted columns from its first row to the
 last one whose projection lies within a width w of its last row; their
-squared distances (:func:`pairwise_sq_dists`) go to one ``(BLOCK_ROWS, n)``
-buffer.  :func:`_band_sums` turns them into kernel values in place, adds
+squared distances (:func:`pairwise_sq_dists`) go to one buffer the size of
+the largest block.  :func:`_band_sums` turns them into kernel values in place, adds
 their sums against g2 and g1 to the block's rows and, mirrored, the block's
 g2 and g1 to the columns past it: each unordered pair is evaluated once.
 The window of i is every j with sum_k (x_jk - x_ik)^2 < h^2, the differences
@@ -43,6 +43,16 @@ square overflows gives inf: such points are isolated at every q.  Projecting
 on a unit vector shrinks no distance, so a band of width h holds every pair
 within h; w widens h only for rounding.  The cost is O(n * band width) and
 the memory O(BLOCK_ROWS * n).
+
+A walk of the band, the smoother's or cross-validation's, takes its buffers
+from an arena (:func:`borrowed_arena`): a dict of grow-only float buffers,
+borrowed from a module-level list of idle arenas for the whole walk and put
+back when the walk ends, normally or not.  Walks that follow one another,
+such as a fit's CV scan and its smoother, reuse one arena's pages instead of
+faulting in fresh zeroed ones for every block.  A process keeps one arena
+per walk that ran concurrently, and each buffer keeps the largest size a walk
+asked of it.  The list is shared by all threads because ``simulate`` starts
+new pool threads for every study.
 
 Coordinates with one column (``"sp-index"`` always, ``"np"`` and
 ``"sp-proj"`` at q = 1) take the sorted path of :func:`window_sums`, which
@@ -90,6 +100,7 @@ above the rest of the sample.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,31 +217,70 @@ def smoothing_coordinates(
 
 
 def pairwise_sq_dists(
-    rows: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+    rows: np.ndarray, points: np.ndarray, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances from each of ``rows`` to each of ``points``.
 
     Each sums the squares of the directly formed coordinate differences, in
     coordinate order (the window rule of the module docstring).  With ``out``
-    (shape ``(len(rows), len(points))``) they are written there; one scratch
-    array of that shape holds the squares of each further coordinate.
+    (shape ``(len(rows), len(points))``) they are written there; the squares
+    of each further coordinate go to ``scratch``, an array of that shape too,
+    or a new one.
     """
     d2 = np.subtract.outer(rows[:, 0], points[:, 0], out=out)
     np.multiply(d2, d2, out=d2)
-    scratch = np.empty_like(d2)
+    scratch = np.empty_like(d2) if scratch is None else scratch
     for k in range(1, rows.shape[1]):
         diff = np.subtract.outer(rows[:, k], points[:, k], out=scratch)
         d2 += np.multiply(diff, diff, out=diff)
     return d2
 
 
+#: Arenas that no band walk holds (:func:`borrowed_arena`).
+_IDLE_ARENAS: list[dict] = []
+
+
+@contextmanager
+def borrowed_arena():
+    """An idle arena for one band walk, or a new one; it goes back to the idle list on exit.
+
+    An arena is a dict of grow-only float buffers (:func:`arena_buffer`).  A walk
+    borrows one for its whole course, so concurrent walks never share one.
+    """
+    try:
+        arena = _IDLE_ARENAS.pop()
+    except IndexError:
+        arena = {}
+    try:
+        yield arena
+    finally:
+        _IDLE_ARENAS.append(arena)
+
+
+def arena_buffer(arena: dict, name: str, size: int) -> np.ndarray:
+    """The first ``size`` floats of ``arena[name]``, grown to fit, which drops its contents.
+
+    The old buffer is released before the new one is made, provided no view of
+    it is alive.
+    """
+    buf = arena.get(name)
+    if buf is None or buf.size < size:
+        arena[name] = buf = None
+        buf = arena[name] = np.empty(size)
+    return buf[:size]
+
+
 @np.errstate(over="ignore")  # a width that overflows holds every pair
-def sorted_band(points: np.ndarray, h2: float):
+def sorted_band(points: np.ndarray, h2: float, arena: dict | None = None):
     """The band of the module docstring over ``(n, d)`` points, d >= 2, holding each d2 < h2.
 
     Returns ``(order, blocks)``: ``order`` sorts the rows along the band, and ``blocks``
     yields ``(lo, d2)`` per block of sorted rows from ``lo``, ``d2`` (in one buffer that
     the next block overwrites) their squared distances to their band's columns from ``lo``.
+    ``d2`` is the ``"dist"`` buffer of ``arena`` and :func:`pairwise_sq_dists` works in
+    its ``"work"`` buffer, whose contents a block leaves undefined; without an arena
+    the walk makes its own.
     Axis and projections come from the points scaled by 2^-e to entries below 1, so the
     scatter matrix cannot overflow and a projection rounds by at most about q sqrt(q) eps.
     The width h 2^-e + 8 q sqrt(q) eps covers a pair's two projections, its window test
@@ -249,12 +299,16 @@ def sorted_band(points: np.ndarray, h2: float):
     starts = np.arange(0, n, BLOCK_ROWS)
     stops = np.minimum(starts + BLOCK_ROWS, n)
     ends = np.searchsorted(proj, proj[stops - 1] + width, side="right")
-    buf = np.empty(min(BLOCK_ROWS, n) * n)
+    arena = {} if arena is None else arena
+    size = int(np.max((stops - starts) * (ends - starts)))
 
     def blocks():
+        buf = arena_buffer(arena, "dist", size)
         for lo, hi, end in zip(starts, stops, ends):
-            d2 = buf[: (hi - lo) * (end - lo)].reshape(hi - lo, end - lo)
-            yield lo, pairwise_sq_dists(points[lo:hi], points[lo:end], out=d2)
+            shape = (hi - lo, end - lo)
+            d2 = buf[: shape[0] * shape[1]].reshape(shape)
+            yield lo, pairwise_sq_dists(points[lo:hi], points[lo:end], out=d2,
+                                        scratch=arena_buffer(arena, "work", d2.size).reshape(shape))
 
     return order, blocks()
 
@@ -266,15 +320,16 @@ def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray
     returns the ``(m, n)`` sums over j of K((x_j - x_i) / h) c_j, taken in the
     sorted band of the module docstring.
     """
-    order, blocks = sorted_band(points, h2)
-    columns = columns[:, order]
     kernel = EpanechnikovKernel(points.shape[1])
-    sums = np.zeros(columns.shape)
-    for lo, d2 in blocks:
-        r, w = d2.shape
-        k = kernel.profile(np.divide(d2, h2, out=d2), out=d2)
-        sums[:, lo:lo + r] += columns[:, lo:lo + w] @ k.T
-        sums[:, lo + r:lo + w] += columns[:, lo:lo + r] @ k[:, r:]  # the mirrored pairs
+    with borrowed_arena() as arena:
+        order, blocks = sorted_band(points, h2, arena)
+        columns = columns[:, order]
+        sums = np.zeros(columns.shape)
+        for lo, d2 in blocks:
+            r, w = d2.shape
+            k = kernel.profile(np.divide(d2, h2, out=d2), out=d2)
+            sums[:, lo:lo + r] += columns[:, lo:lo + w] @ k.T
+            sums[:, lo + r:lo + w] += columns[:, lo:lo + r] @ k[:, r:]  # the mirrored pairs
     unsorted = np.empty_like(sums)
     unsorted[:, order] = sums
     return unsorted

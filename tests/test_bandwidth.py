@@ -222,9 +222,10 @@ class TestCvBandwidth:
         with pytest.raises(DataError):
             cv_bandwidth(d, fs, "np", grid=[1.0, np.nan])
 
-    def test_memory_stays_in_row_blocks(self):
-        # the banded scan peaks near 10 MB here; one n x n float64 temporary
-        # adds 32 MB and breaks the bound (the dense scan peaked at 153 MB)
+    def test_memory_stays_in_row_blocks(self, cold_arenas):
+        # the banded scan peaks near 6 MB here, its arena included; one n x n
+        # float64 temporary adds 32 MB and breaks the bound (the dense scan
+        # peaked at 153 MB)
         rng = np.random.default_rng(86)
         d, fs = random_fit(rng, n=2000, q=2)
         tracemalloc.start()
@@ -236,10 +237,10 @@ class TestCvBandwidth:
         assert peak <= 48 * 2**20
 
     @pytest.mark.parametrize("grid", [None, [50.0, 60.0]], ids=["default", "covering"])
-    def test_memory_stays_in_row_blocks_at_n_4000(self, grid):
+    def test_memory_stays_in_row_blocks_at_n_4000(self, grid, cold_arenas):
         # on the default grid a minority of pairs lie in the largest window
-        # (peak near 15 MB); on the covering grid every pair does, and the
-        # arrays of a block's pairs peak near 46 MB; one n x n float64
+        # (peak near 10 MB); on the covering grid every pair does, and the
+        # arrays of a block's pairs peak near 40 MB; one n x n float64
         # temporary would add 128 MB
         rng = np.random.default_rng(87)
         d, fs = random_fit(rng, n=4000, q=2)
@@ -253,10 +254,10 @@ class TestCvBandwidth:
         if grid is not None:
             assert np.array_equal(res.valid_fraction, [1.0, 1.0])
 
-    def test_memory_stays_in_row_blocks_on_1000_candidates(self):
+    def test_memory_stays_in_row_blocks_on_1000_candidates(self, cold_arenas):
         # the scan keeps sums per (row, candidate) only for the rows the band
         # still reaches, and takes the candidates in chunks of GRID_CHUNK: it
-        # peaks near 24 MB here, and sums for every row would hold 64 MB
+        # peaks near 19 MB here, and sums for every row would hold 64 MB
         rng = np.random.default_rng(86)
         d, fs = random_fit(rng, n=2000, q=2)
         lo, hi = default_grid(smoothing_coordinates(d, fs, "np"))[[0, -1]]
@@ -268,6 +269,39 @@ class TestCvBandwidth:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
 
+    def test_carried_sums_move_in_place(self, cold_arenas):
+        # at h = 3 the band of a block reaches most of the 4000 rows, so the
+        # (row, candidate) sums of 200 candidates take 24 MB and the arrays of
+        # a block's 830000 in-window pairs about 33 MB: the scan peaks near
+        # 62 MB, and near 66 MB when it rebuilt the sums by concatenation on
+        # every block.  Below 48 MB the sums and the pair arrays no longer fit
+        # together, so that bound cannot hold here
+        rng = np.random.default_rng(87)
+        d, fs = random_fit(rng, n=4000, q=2)
+        tracemalloc.start()
+        try:
+            cv_bandwidth(d, fs, "np", grid=np.geomspace(0.05, 3, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
+    def test_repeated_scan_reuses_its_arena(self, cold_arenas):
+        # the first call peaks near 6 MB, most of it the arena it builds (it
+        # peaked near 8.6 MB before the scan had an arena); the second finds
+        # that arena idle and peaks near 1 MB
+        rng = np.random.default_rng(86)
+        d, fs = random_fit(rng, n=2000, q=2)
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                cv_bandwidth(d, fs, "np")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] / 3
+
     def test_scan_visits_fewer_than_half_the_pairs(self, monkeypatch):
         # a pass over all pairs hands n^2 entries to pairwise_sq_dists; the
         # band of the largest candidate, each pair once, hands about 0.40 n^2
@@ -275,9 +309,9 @@ class TestCvBandwidth:
         fs = first_step(data, SQUARE)
         pairs = []
 
-        def counting(rows, points, out=None):
+        def counting(rows, points, **buffers):
             pairs.append(rows.shape[0] * points.shape[0])
-            return pairwise_sq_dists(rows, points, out=out)
+            return pairwise_sq_dists(rows, points, **buffers)
 
         monkeypatch.setattr(weights_module, "pairwise_sq_dists", counting)
         cv_bandwidth(data, fs, "np")

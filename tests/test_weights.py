@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from adaweight.weights import (
     weighted_fit,
     window_sums,
 )
+from adaweight.bandwidth import _band_terms
 from adaweight.estimators import fit_weighted_m
 from adaweight import weights as weights_module
 
@@ -118,6 +121,9 @@ class TestPairwiseSqDists:
         buf = np.full((7, 30), np.nan)
         assert pairwise_sq_dists(points[5:12], points, out=buf) is buf
         assert np.array_equal(buf, block)
+        scratch = np.full((7, 30), np.nan)
+        assert pairwise_sq_dists(points[5:12], points, out=buf, scratch=scratch) is buf
+        assert buf.tobytes() == block.tobytes()
 
     def test_only_a_squared_difference_that_overflows_gives_inf(self):
         # the squared norms of these points overflow, which the expansion
@@ -719,9 +725,9 @@ class TestBlockedSmoother:
         h = cv_bandwidth(data, fs, "np").h_cv
         pairs = []
 
-        def counting(rows, points, out=None):
+        def counting(rows, points, **buffers):
             pairs.append(rows.shape[0] * points.shape[0])
-            return pairwise_sq_dists(rows, points, out=out)
+            return pairwise_sq_dists(rows, points, **buffers)
 
         monkeypatch.setattr(weights_module, "pairwise_sq_dists", counting)
         np_weights(data, SQUARE, fs, h)
@@ -751,9 +757,10 @@ class TestBlockedSmoother:
         w = _ratio_weights(loss, fs, 1.0, np.array([[3.0, -2.0]]))
         np.testing.assert_allclose(w, loss.g2(fs.residuals) / loss.g1(fs.residuals), rtol=1e-15)
 
-    def test_memory_stays_in_row_blocks(self):
-        # the banded smoother needs a few (BLOCK_ROWS, n) buffers, at most
-        # 8 MB here; one n x n float64 temporary (32 MB) breaks the bound
+    def test_memory_stays_in_row_blocks(self, cold_arenas):
+        # the banded smoother needs two (BLOCK_ROWS, band width) buffers in
+        # its arena, about 2 MB here; one n x n float64 temporary (32 MB)
+        # breaks the bound
         rng = np.random.default_rng(45)
         d, _ = heteroscedastic_sample(rng, n=2000, q=2)
         fs = first_step(d, SQUARE)
@@ -764,6 +771,103 @@ class TestBlockedSmoother:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+class TestBandArenas:
+    """The walks over two or more smoothing columns borrow their buffers from idle arenas."""
+
+    def test_threads_match_serial_calls_and_return_no_arena_memory(self, cold_arenas):
+        # four threads borrow arenas at once and grow them over samples of
+        # different n and q (bands of one to five blocks): every result is the
+        # serial call's, bit for bit, and shares no memory with an arena
+        samples = []
+        for seed, (n, q) in enumerate([(1100, 2), (300, 3), (520, 4), (700, 2)]):
+            d, _ = heteroscedastic_sample(np.random.default_rng(60 + seed), n=n, q=q,
+                                          kind="smooth")
+            fs = first_step(d, SQUARE)
+            samples.append((d, fs, epsilon_perturbation(d, fs)))
+
+        def run(sample):
+            d, fs, eps = sample
+            cv_np = cv_bandwidth(d, fs, "np")
+            cv_sp = cv_bandwidth(d, fs, "sp-proj", eps=eps)
+            return (cv_np.scores, cv_np.valid_fraction, cv_sp.scores, cv_sp.valid_fraction,
+                    np_weights(d, SQUARE, fs, cv_np.h_cv),
+                    sp_projected_weights(d, SQUARE, fs, cv_sp.h_cv, eps))
+
+        def assert_no_arena_memory(results):
+            buffers = [buf for arena in weights_module._IDLE_ARENAS for buf in arena.values()]
+            assert buffers
+            for result in results:
+                for array in result:
+                    assert not any(np.shares_memory(array, buf) for buf in buffers)
+
+        serial = [run(sample) for sample in samples]
+        assert len(weights_module._IDLE_ARENAS) == 1
+        assert_no_arena_memory(serial)
+        weights_module._IDLE_ARENAS.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter over often, mid-walk
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, samples * 3, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        idle = weights_module._IDLE_ARENAS
+        assert 1 <= len(idle) <= 4 and len({id(arena) for arena in idle}) == len(idle)
+        assert_no_arena_memory(threaded)
+        for got, expected in zip(threaded, serial * 3):
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
+
+    def test_arena_grown_mid_walk_gives_the_warm_scores(self, cold_arenas):
+        # at these bandwidths the first blocks, in the sparse tail, have the
+        # narrowest bands, so a cold arena grows its pair buffers and moves
+        # the carried sums into a larger buffer mid-walk
+        data = generate_sample(2000, 2, "smooth", replication_rng(1, 0))[0]
+        fs = first_step(data, SQUARE)
+        grid = np.geomspace(0.05, 0.5, 40)
+        cold = cv_bandwidth(data, fs, "np", grid=grid)
+        warm = cv_bandwidth(data, fs, "np", grid=grid)
+        assert cold.scores.tobytes() == warm.scores.tobytes()
+        assert cold.valid_fraction.tobytes() == warm.valid_fraction.tobytes()
+
+    def test_walk_returns_its_arena_when_closed_or_its_consumer_raises(
+        self, cold_arenas, monkeypatch
+    ):
+        rng = np.random.default_rng(61)
+        points = rng.normal(size=(3 * BLOCK_ROWS, 2))
+        e2 = rng.random(3 * BLOCK_ROWS)
+        h2s = np.array([0.25, 1.0])
+        idle = weights_module._IDLE_ARENAS
+        walk = _band_terms(points, e2, h2s)
+        next(walk)
+        assert idle == []
+        walk.close()  # halfway through the band
+        assert len(idle) == 1
+
+        def consume():
+            for _ in _band_terms(points, e2, h2s):
+                raise RuntimeError("consumer")
+
+        with pytest.raises(RuntimeError, match="consumer"):
+            consume()
+        assert len(idle) == 1
+
+        profile = EpanechnikovKernel.profile
+        calls = []
+
+        def failing_profile(kernel, sq_norm, out=None):
+            calls.append(1)
+            if len(calls) == 2:  # the second of three blocks
+                raise RuntimeError("kernel")
+            return profile(kernel, sq_norm, out=out)
+
+        monkeypatch.setattr(EpanechnikovKernel, "profile", failing_profile)
+        fs = FirstStepFit(beta=np.zeros(3), residuals=rng.normal(size=3 * BLOCK_ROWS))
+        with pytest.raises(RuntimeError, match="kernel"):
+            _ratio_weights(SQUARE, fs, 1.0, points)
+        assert len(idle) == 1
 
 
 def stacked_window_sums(z, columns, h2s):
@@ -846,7 +950,7 @@ class TestWindowSums:
             next(window_sums(z, [np.ones(4)], [1.0]))
 
     @pytest.mark.parametrize("design", ["smooth", "cluster-and-outliers"])
-    def test_memory_stays_linear_at_n_20000(self, design):
+    def test_memory_stays_linear_at_n_20000(self, design, cold_arenas):
         # one run of sorted rows spanning at most h per segment; a layout
         # padding every segment to the longest range of rows it reads holds
         # about 10^4 x 10^4 values here, far beyond the bound

@@ -29,7 +29,7 @@ whatever its size: it is the rounding residual of the normal equations and
 scales with their entries, which reach 1e10 on covariates of spread 1e4.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set, 222 records: three CSVs (q = 1, 2, 3) x four losses x
+The command set, 223 records: three CSVs (q = 1, 2, 3) x four losses x
 seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
 the constant, np and sp-proj routes (a shift that still makes the first
 step's moment matrix singular); a q = 2 integer lattice with ties, fitted
@@ -52,11 +52,14 @@ fixed bandwidths, explicit epsilon and ``--cv-grid`` fits
 (200- and 1000-point grids among them, and a refused 1001-point one);
 bandwidth extremes; input errors; malformed and unusual CSV files (a repeated ``y``
 column, and non-finite cells: ``nan``, ``inf``, ``1e999``, which overflows,
-and a quoted ``"nan"`` below a blank line, among them); five ``simulate
+and a quoted ``"nan"`` below a blank line, among them); six ``simulate
 --workers 2`` studies and four invalid ones (``--out`` naming a file, a
 repeated method, an ``--out`` whose ``errors.csv`` is a directory, a
-negative ``--seed``).  The ``power:1.2`` fits and study reach M-solver
-runs that stall at a fixed point or a cycle;
+negative ``--seed``).  One of the six, all five methods by CV at n = 500,
+q = 4, walks bands of two blocks on both worker threads, where np and sp
+borrow and grow the band arenas of :mod:`adaweight.weights` concurrently.
+The ``power:1.2`` fits and study reach M-solver runs that stall at a fixed
+point or a cycle;
 the ``power:1.5`` study reaches weighted runs that the full-step rule alone
 leaves still moving at the iteration cap.  Two
 ``power`` fits on ``zero_residual.csv`` reach an exact zero residual in a row
@@ -384,6 +387,8 @@ def command_set() -> list[tuple[str, list[str]]]:
         "smooth-power1.5-q3": ["--n", "200", "--q", "3", "--sigma", "smooth", "--reps", "3",
                                "--methods", "first-step,parametric,oracle",
                                "--loss", "power:1.5"],
+        "smooth-cv-q4-n500": ["--n", "500", "--q", "4", "--sigma", "smooth", "--reps", "6",
+                              "--methods", "first-step,parametric,np,sp,oracle"],
     }
     for name, argv in studies.items():
         cmds.append((f"simulate/{name}", ["simulate", *argv, "--seed", "7",
