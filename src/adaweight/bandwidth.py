@@ -52,10 +52,11 @@ passes them, so sums are kept only for the b rows the band still reaches: a
 scan costs O(n b + m log s) for m in-window pairs and s candidates per cell,
 and holds O((BLOCK_ROWS + G) b) memory for G <= GRID_CHUNK per walk.  Those
 sums sit in one (4, b G) buffer of the walk's arena
-(:func:`adaweight.weights.borrowed_arena`), moved forward in place past each
-block.  A block's pair arrays, at most five alive at once, use the arena's
-work buffer and, once its distances are read, its distance buffer; only the
-pair indices are allocated anew for every block.
+(:func:`adaweight.weights.borrowed_arena`), sized once from the walk's widest
+band; a block's prefix sums are taken in place over its own rows of them,
+which the walk then drops.  A block's pair arrays, at most five alive at
+once, use the arena's work buffer and, once its distances are read, its
+distance buffer; only the pair indices are allocated anew for every block.
 """
 
 from __future__ import annotations
@@ -190,34 +191,21 @@ def _band_terms(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
         scatter(sums, col, er, dist, spare)  # and to its column
 
     with borrowed_arena() as arena:
-        order, blocks = sorted_band(points, h2s[-1], arena)
+        order, blocks, widest = sorted_band(points, h2s[-1], arena)
         e2 = e2[order]
+        carried = arena_buffer(arena, "sums", 4 * widest * g).reshape(4, -1)
         held = 0  # (row, bin) sums carried over for the rows past the last block
         for lo, d2 in blocks:
             r, w = d2.shape
-            sums = _carried_sums(arena, held, w * g)
+            sums = carried[:, : w * g]
+            sums[:, held:] = 0.0
             scatter_block(arena, sums, lo, d2)
-            prefix = arena_buffer(arena, "prefix", 4 * r * g).reshape(4, r, g)
-            k, s_e, s_d, s_de = np.cumsum(sums[:, : r * g].reshape(4, r, g), axis=2, out=prefix)
+            block = sums[:, : r * g].reshape(4, r, g)
+            k, s_e, s_d, s_de = np.cumsum(block, axis=2, out=block)
             yield _loo_terms(e2[lo:lo + r, None], k, k - s_d / h2s, s_e - s_de / h2s)
             held = (w - r) * g
             for row in sums:
-                row[:held] = row[r * g:w * g]  # one-dimensional, so moved in place
-            del sums, row  # so that a wider band can free the buffer as it grows it
-
-
-def _carried_sums(arena: dict, held: int, size: int) -> np.ndarray:
-    """The arena's ``(4, size)`` (row, bin) sums: the first ``held`` columns kept, the rest zero."""
-    buf = arena.get("sums")
-    if buf is None or buf.size < 4 * size:
-        kept = None if buf is None else buf.reshape(4, -1)[:, :held].copy()
-        del buf  # so that growing frees it
-        buf = arena_buffer(arena, "sums", 4 * size)
-        if kept is not None:
-            buf.reshape(4, -1)[:, :held] = kept
-    sums = buf.reshape(4, -1)[:, :size]
-    sums[:, held:] = 0.0
-    return sums
+                row[:held] = row[r * g:]  # one-dimensional, so moved in place
 
 
 def cv_bandwidth(

@@ -47,7 +47,7 @@ WEIGHT_ROUTES = ("constant", "parametric", *MODES, "oracle")
 #: Most --cv-grid candidates: over two or more smoothing columns the CV scan
 #: walks its band once per 256 candidates, keeping sums per (row, candidate) for
 #: the rows the band reaches (four walks at 1000, n = 2000, with a tracemalloc
-#: peak of 19 MB when they build their arena and 3 MB when it is already
+#: peak of 15 MB when they build their arena and 3 MB when it is already
 #: built); the sorted path scores one at a time in O(n).
 MAX_GRID_COUNT = 1000
 

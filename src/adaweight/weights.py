@@ -272,15 +272,15 @@ def arena_buffer(arena: dict, name: str, size: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a width that overflows holds every pair
-def sorted_band(points: np.ndarray, h2: float, arena: dict | None = None):
+def sorted_band(points: np.ndarray, h2: float, arena: dict):
     """The band of the module docstring over ``(n, d)`` points, d >= 2, holding each d2 < h2.
 
-    Returns ``(order, blocks)``: ``order`` sorts the rows along the band, and ``blocks``
+    Returns ``(order, blocks, widest)``: ``order`` sorts the rows along the band, ``blocks``
     yields ``(lo, d2)`` per block of sorted rows from ``lo``, ``d2`` (in one buffer that
-    the next block overwrites) their squared distances to their band's columns from ``lo``.
+    the next block overwrites) their squared distances to their band's columns from ``lo``,
+    and ``widest`` is the most columns of any block's band.
     ``d2`` is the ``"dist"`` buffer of ``arena`` and :func:`pairwise_sq_dists` works in
-    its ``"work"`` buffer, whose contents a block leaves undefined; without an arena
-    the walk makes its own.
+    its ``"work"`` buffer, whose contents a block leaves undefined.
     Axis and projections come from the points scaled by 2^-e to entries below 1, so the
     scatter matrix cannot overflow and a projection rounds by at most about q sqrt(q) eps.
     The width h 2^-e + 8 q sqrt(q) eps covers a pair's two projections, its window test
@@ -299,7 +299,6 @@ def sorted_band(points: np.ndarray, h2: float, arena: dict | None = None):
     starts = np.arange(0, n, BLOCK_ROWS)
     stops = np.minimum(starts + BLOCK_ROWS, n)
     ends = np.searchsorted(proj, proj[stops - 1] + width, side="right")
-    arena = {} if arena is None else arena
     size = int(np.max((stops - starts) * (ends - starts)))
 
     def blocks():
@@ -310,7 +309,7 @@ def sorted_band(points: np.ndarray, h2: float, arena: dict | None = None):
             yield lo, pairwise_sq_dists(points[lo:hi], points[lo:end], out=d2,
                                         scratch=arena_buffer(arena, "work", d2.size).reshape(shape))
 
-    return order, blocks()
+    return order, blocks(), int(np.max(ends - starts))
 
 
 def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray:
@@ -322,7 +321,7 @@ def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray
     """
     kernel = EpanechnikovKernel(points.shape[1])
     with borrowed_arena() as arena:
-        order, blocks = sorted_band(points, h2, arena)
+        order, blocks, _ = sorted_band(points, h2, arena)
         columns = columns[:, order]
         sums = np.zeros(columns.shape)
         for lo, d2 in blocks:
@@ -529,7 +528,7 @@ def evaluate_weight_map(w0, x: np.ndarray) -> np.ndarray:
     if np.any(bad):
         row = int(np.argmax(bad))
         raise WeightFamilyError(
-            f"weight map produced {raw[row]!r} at row {row}; weights must be "
+            f"weight map produced {float(raw[row])} at row {row}; weights must be "
             "positive and finite"
         )
     return raw

@@ -23,13 +23,15 @@ from adaweight import (
     sp_index_weights,
     sp_projected_weights,
 )
-from adaweight import weights as weights_module
+from adaweight import bandwidth as bandwidth_module, weights as weights_module
 from adaweight.bandwidth import GRID_CHUNK, MIN_VALID_FRACTION, _loo_scan
 from adaweight.weights import (
     BLOCK_ROWS,
     FirstStepFit,
+    arena_buffer,
     pairwise_sq_dists,
     smoothing_coordinates,
+    sorted_band,
     squared_bandwidth,
 )
 from test_weights import LATTICE_ROTATIONS, CHAINED_DESIGNS, chained_covariates
@@ -257,7 +259,7 @@ class TestCvBandwidth:
     def test_memory_stays_in_row_blocks_on_1000_candidates(self, cold_arenas):
         # the scan keeps sums per (row, candidate) only for the rows the band
         # still reaches, and takes the candidates in chunks of GRID_CHUNK: it
-        # peaks near 19 MB here, and sums for every row would hold 64 MB
+        # peaks near 15 MB here, and sums for every row would hold 64 MB
         rng = np.random.default_rng(86)
         d, fs = random_fit(rng, n=2000, q=2)
         lo, hi = default_grid(smoothing_coordinates(d, fs, "np"))[[0, -1]]
@@ -273,8 +275,7 @@ class TestCvBandwidth:
         # at h = 3 the band of a block reaches most of the 4000 rows, so the
         # (row, candidate) sums of 200 candidates take 24 MB and the arrays of
         # a block's 830000 in-window pairs about 33 MB: the scan peaks near
-        # 62 MB, and near 66 MB when it rebuilt the sums by concatenation on
-        # every block.  Below 48 MB the sums and the pair arrays no longer fit
+        # 61 MB.  Below 48 MB the sums and the pair arrays no longer fit
         # together, so that bound cannot hold here
         rng = np.random.default_rng(87)
         d, fs = random_fit(rng, n=4000, q=2)
@@ -284,7 +285,28 @@ class TestCvBandwidth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20
+        assert peak <= 61 * 2**20
+
+    def test_carried_sums_are_sized_once_per_walk(self, cold_arenas, monkeypatch):
+        # the sparse tail's first block has the narrowest band, so the walk
+        # sizes its sums from the widest band before any block's pairs, and
+        # takes the prefix sums in place rather than in a buffer of their own
+        rng = np.random.default_rng(87)
+        d, fs = random_fit(rng, n=4000, q=2)
+        points = smoothing_coordinates(d, fs, "np")
+        grid = np.geomspace(*default_grid(points)[[0, -1]], 200)
+        widths = [d2.shape[1] for _, d2 in sorted_band(points, grid[-1] ** 2, {})[1]]
+        assert widths[0] < max(widths)
+        asked = []
+
+        def recording_buffer(arena, name, size):
+            asked.append(name)
+            return arena_buffer(arena, name, size)
+
+        monkeypatch.setattr(bandwidth_module, "arena_buffer", recording_buffer)
+        cv_bandwidth(d, fs, "np", grid=grid)
+        assert asked[0] == "sums" and asked.count("sums") == 1
+        assert "work" in asked and "prefix" not in asked
 
     def test_repeated_scan_reuses_its_arena(self, cold_arenas):
         # the first call peaks near 6 MB, most of it the arena it builds (it

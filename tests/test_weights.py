@@ -557,7 +557,7 @@ class TestParametricOracle:
         d = Dataset(y=np.zeros(5), x=np.arange(5.0).reshape(-1, 1))
         family = lambda x, beta: np.where(x[:, 0] == 3.0, np.nan, 1.0)
         fs = first_step(d, SQUARE)
-        with pytest.raises(WeightFamilyError, match="row 3"):
+        with pytest.raises(WeightFamilyError, match="produced nan at row 3"):
             parametric_weights(family, fs, d)
 
     def test_clamp_counts(self):
@@ -822,8 +822,7 @@ class TestBandArenas:
 
     def test_arena_grown_mid_walk_gives_the_warm_scores(self, cold_arenas):
         # at these bandwidths the first blocks, in the sparse tail, have the
-        # narrowest bands, so a cold arena grows its pair buffers and moves
-        # the carried sums into a larger buffer mid-walk
+        # narrowest bands, so a cold arena grows its pair buffers mid-walk
         data = generate_sample(2000, 2, "smooth", replication_rng(1, 0))[0]
         fs = first_step(data, SQUARE)
         grid = np.geomspace(0.05, 0.5, 40)

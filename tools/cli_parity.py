@@ -29,7 +29,7 @@ whatever its size: it is the rounding residual of the normal equations and
 scales with their entries, which reach 1e10 on covariates of spread 1e4.  The exit status is 0 when no record differs
 and no other number moved by more than ``RTOL`` (rel 1e-12), else 1.
 
-The command set, 223 records: three CSVs (q = 1, 2, 3) x four losses x
+The command set, 224 records: three CSVs (q = 1, 2, 3) x four losses x
 seven weight routes; ``q2.csv`` with every covariate shifted by +1e4 under
 the constant, np and sp-proj routes (a shift that still makes the first
 step's moment matrix singular); a q = 2 integer lattice with ties, fitted
@@ -94,7 +94,9 @@ the cutoff, so they take the solver's fallback step for a singular
 curvature matrix at the start and mid-solve.  The 0.01 fit converges and
 prints its beta; the 0.001 fit takes the fallback step in 99 of its 100
 iterations, stops at the cap with two residuals within the cutoff, and
-exits 3 with a singular sandwich curvature matrix.
+exits 3 with a singular sandwich curvature matrix.  An oracle fit on
+``q2.csv`` with ``--oracle-beta 1,0,0`` has a zero slope, so every ``smooth``
+weight is 0/0 and the fit exits 3 with a ``weight-family`` error.
 """
 
 from __future__ import annotations
@@ -293,6 +295,7 @@ def command_set() -> list[tuple[str, list[str]]]:
         "err-epsilon": q2 + ["--weights", "sp-proj", "--epsilon", "-1"],
         "err-oracle-missing": q2 + ["--weights", "oracle"],
         "err-oracle-short": q2 + ["--weights", "oracle", "--oracle-beta", "1"],
+        "err-oracle-zero-slope": q2 + ["--weights", "oracle", "--oracle-beta", "1,0,0"],
         "err-route": q2 + ["--weights", "magic"],
         "err-grid-inverted": q2 + ["--weights", "np", "--cv-grid", "3:1:5"],
         "err-grid-count": q2 + ["--weights", "np", "--cv-grid", "0.05:3:1001"],
