@@ -15,8 +15,9 @@ Each replication draws one sample shared by every requested method, fits,
 and records the squared coefficient error |beta_hat - beta0|^2.  Replication
 r uses its own deterministic substream derived from (seed, r) with a
 counter-based generator, so results do not depend on execution order or on
-the number of workers.  ``scipy.special`` is imported at the first draw,
-so importing this module (and ``adaweight fit``) loads numpy only.
+the number of workers.  The normals come from the uniforms through
+``ndtri``, a numpy port of Cephes' normal quantile, so this module, like
+the rest of the package, loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -81,12 +82,89 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+#: Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
+#: Functions*, 1989): exp(-2) splits the central approximation P0/Q0 from
+#: the tail ones, which run in z = 1/sqrt(-2 log y): P1/Q1 while
+#: sqrt(-2 log y) < 8, P2/Q2 beyond.  Coefficients run from the highest
+#: power down; each Q's leading coefficient 1 is left out.
+_EXPM2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _rational(z: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """z * P(z) / Q(z) in Cephes' ``polevl`` / ``p1evl`` Horner order."""
+    num = z * p[0]
+    for c in p[1:]:
+        num += c
+        num *= z
+    den = z + q[0]
+    for c in q[1:]:
+        den *= z
+        den += c
+    num /= den
+    return num
+
+
+def ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each u in (0, 1), as Cephes computes it.
+
+    Central draws (exp(-2) < u <= 1 - exp(-2)) use only +, -, * and / in
+    Cephes' order, so they equal ``scipy.special.ndtri`` bit for bit; the
+    tails go through ``np.log``, whose last bit may differ from the C
+    library's ``log``, so a tail draw may differ from scipy's in its last
+    few bits.
+    """
+    # The central formula over every u (its denominator stays below zero
+    # for |u - 1/2| <= 1/2), then the tails over their own entries.
+    shape, u = u.shape, u.reshape(-1)
+    out = u - 0.5
+    ratio = _rational(out * out, _P0, _Q0)
+    ratio *= out
+    out += ratio
+    out *= _SQRT_2PI
+    tail = np.flatnonzero((u <= _EXPM2) | (u > 1.0 - _EXPM2))
+    if tail.size:
+        t = u[tail]
+        x = np.log(np.minimum(t, 1.0 - t))
+        x *= -2.0
+        np.sqrt(x, out=x)
+        z = 1.0 / x
+        x1 = _rational(z, _P1, _Q1)
+        if x.max() >= 8.0:
+            far = x >= 8.0
+            x1[far] = _rational(z[far], _P2, _Q2)
+        x0 = np.log(x)
+        x0 /= x
+        x -= x0
+        x -= x1
+        out[tail] = np.copysign(x, t - 0.5, out=x)
+    return out.reshape(shape)
+
+
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Inverse-CDF standard normals, stable across runs for a fixed stream."""
-    # Imported here so that `import adaweight` and `fit` never load scipy.
-    from scipy.special import ndtri
-
-    u = rng.random(shape) + 2.0**-54
+    u = rng.random(shape)
+    u += 2.0**-54
+    # The top uniform 1 - 2**-53 plus 2**-54 rounds to 1.0, whose quantile
+    # is +inf; keep it at 1 - 2**-53.
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u)
 
 
@@ -95,8 +173,10 @@ def generate_sample(
 ) -> tuple[Dataset, np.ndarray]:
     """One heteroscedastic sample; returns (dataset, true beta)."""
     beta0 = true_beta(q)
-    x = standard_normal(rng, (n, q))
-    eps = standard_normal(rng, n)
+    # One call for x (row by row) and then eps: the same stream as two.
+    draws = standard_normal(rng, n * (q + 1))
+    x = draws[: n * q].reshape(n, q)
+    eps = draws[n * q:]
     sigma = sigma_values(sigma_kind, x, beta0[1:])
     y = beta0[0] + x @ beta0[1:] + sigma * eps
     return Dataset(y=y, x=x), beta0

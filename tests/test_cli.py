@@ -904,15 +904,15 @@ def run_module(*argv):
     return run_python("-m", "adaweight", *argv)
 
 
-#: Runs ``fit`` once per flag set in argv[2] (JSON) on the CSV argv[1], then
-#: fails if any ``scipy`` module was loaded.
+#: Runs the CLI once per argument list in argv[1] (JSON), then fails if any
+#: ``scipy`` module was loaded.
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 from adaweight.cli import main
-for flags in json.loads(sys.argv[2]):
+for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["fit", "--data", sys.argv[1], *flags])
-    assert code == 0, (flags, code)
+        code = main(args)
+    assert code == 0, (args, code)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -964,5 +964,16 @@ class TestSubprocessEntry:
             ["--loss", "huber:1.345"],
             ["--loss", "power:1.5"],
         ]
-        proc = run_python("-c", NO_SCIPY_SCRIPT, str(path), json.dumps(runs))
+        runs = [["fit", "--data", str(path), *flags] for flags in runs]
+        proc = run_python("-c", NO_SCIPY_SCRIPT, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        # A fresh process, as above: the draws' normal quantile is numpy's.
+        study = ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
+                 "--seed", "4", "--out", str(tmp_path)]
+        runs = [study + ["--methods", "first-step,parametric,np,sp,oracle",
+                         "--bandwidth", "cv", "--workers", "2"],
+                study + ["--loss", "huber:1.345"]]
+        proc = run_python("-c", NO_SCIPY_SCRIPT, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr

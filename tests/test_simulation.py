@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri as scipy_ndtri
 
 from adaweight import (
     DataError,
@@ -75,9 +76,77 @@ class TestGenerateSample:
             rtol=1e-15, atol=0,
         )
 
+    def test_one_call_gives_the_two_draws(self):
+        # x takes the first n * q uniforms row by row, eps the next n.
+        for n, q in ((1000, 3), (5, 2), (500, 4)):
+            data, beta0 = generate_sample(n, q, "smooth", replication_rng(3, 2))
+            rng = replication_rng(3, 2)
+            x = standard_normal(rng, (n, q))
+            eps = standard_normal(rng, n)
+            assert np.array_equal(data.x, x)
+            sigma = sigma_values("smooth", x, beta0[1:])
+            assert np.array_equal(data.y, beta0[0] + x @ beta0[1:] + sigma * eps)
+
+    def test_top_uniform_gives_a_finite_normal(self):
+        # 1 - 2**-53 + 2**-54 rounds to 1.0, whose quantile is +inf.
+        class TopUniform:
+            def random(self, shape):
+                return np.full(shape, 1.0 - 2.0**-53)
+
+        draws = standard_normal(TopUniform(), 3)
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws == simulation.ndtri(np.array([1.0 - 2.0**-53])))
+
     def test_unknown_sigma_rejected(self):
         with pytest.raises(DataError):
             sigma_values("banana", np.ones((2, 2)), np.ones(2))
+
+
+def ulps(got, want):
+    """Distance of each ``got`` from ``want`` in units of the last place of ``want``."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def assert_matches_scipy(u):
+    """Central draws equal ``scipy.special.ndtri`` bit for bit, tail draws within 8 ulp."""
+    want = scipy_ndtri(u)
+    got = simulation.ndtri(u)
+    central = (u > simulation._EXPM2) & (u <= 1.0 - simulation._EXPM2)
+    assert np.array_equal(got[central], want[central])
+    assert np.all(np.isfinite(got)) and np.all(ulps(got, want) <= 8)
+    return got != want
+
+
+class TestNdtri:
+    def test_matches_scipy_on_a_million_uniforms(self):
+        u = np.random.Generator(np.random.Philox(34)).random(10**6) + 2.0**-54
+        differ = assert_matches_scipy(u)
+        # np.log differs from the C library's log in a few tail arguments.
+        assert differ.mean() < 1e-3
+
+    def test_matches_scipy_on_the_edges(self):
+        edges = np.array([2.0**-54, 1.0 - 2.0**-53, 0.5, np.exp(-2.0), 1.0 - np.exp(-2.0),
+                          simulation._EXPM2, 1.0 - simulation._EXPM2, np.exp(-32.0),
+                          1.0 - np.exp(-32.0), 1e-300, 5e-324])
+        below, above = np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)
+        u = np.concatenate([edges, below, above, np.nextafter(below, 0.0),
+                            np.nextafter(above, 1.0)])
+        assert_matches_scipy(u[(u > 0.0) & (u < 1.0)])
+        assert simulation.ndtri(np.array([0.5]))[0] == 0.0
+
+    def test_matches_scipy_in_the_far_tail(self):
+        # u or 1 - u below exp(-32) = 1.27e-14 take P2/Q2.
+        rng = np.random.Generator(np.random.Philox(35))
+        small = rng.random(20000) * 1.27e-14
+        u = np.concatenate([small, 1.0 - small])
+        u = u[(u > 0.0) & (u < 1.0)]
+        assert_matches_scipy(u)
+
+    def test_keeps_the_shape(self):
+        u = np.array([[0.01, 0.5, 0.99], [0.2, 0.9, 1e-20]])
+        got = simulation.ndtri(u)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), simulation.ndtri(u.ravel()))
 
 
 class TestSimConfig:

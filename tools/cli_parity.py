@@ -185,7 +185,11 @@ def paired_csv_text(n: int, seed: int, spread: float, h: float) -> str:
 
 def smooth_sample_csv_text(n: int, q: int, seed: int, replication: int) -> str:
     """``simulation.generate_sample(n, q, "smooth", replication_rng(seed, replication))``
-    as a CSV with 17-digit cells, drawn here so that neither side's code writes it."""
+    as a CSV with 17-digit cells, drawn here so that neither side's code writes it.
+
+    The normals come from scipy's ``ndtri``, so a tail draw may differ from
+    ``simulation.ndtri``'s in its last bits; both sides read the same file.
+    """
     from scipy.special import ndtri
 
     stream = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
