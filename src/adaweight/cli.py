@@ -26,7 +26,7 @@ import numpy as np
 from .bandwidth import cv_bandwidth
 from .dataio import read_csv, to_json_text, write_errors_csv
 from .errors import DataError, NumericalError
-from .estimators import sandwich_covariance
+from .estimators import median, sandwich_covariance
 from .losses import LossFunction
 from .simulation import METHODS, SimConfig, inverse_variance_map, run_study
 from .weights import (
@@ -205,7 +205,7 @@ def _run_fit(args) -> str:
         "standard_errors": np.sqrt(np.diag(cov)),
         "weights_summary": {
             "min": np.min(w),
-            "median": np.median(w),
+            "median": median(w),
             "max": np.max(w),
             "clamp_count": clamp_count,
         },

@@ -23,7 +23,6 @@ the rest of the package, loads numpy and the standard library only.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,6 +300,36 @@ def run_replication(config: SimConfig, replication: int) -> dict[str, Replicatio
     return outcomes
 
 
+def quartiles(e: np.ndarray) -> tuple:
+    """``np.quantile(e, [0.25, 0.5, 0.75])`` of a nonempty 1-D float array, bit for bit.
+
+    numpy's linear method in its own arithmetic: quartile q sits at the
+    virtual index (n - 1) q, which for these q equals n q + (1 - q) - 1
+    exactly; γ is its fractional part, and the order statistics a, b around
+    it give a + (b - a) γ, or b - (b - a)(1 - γ) where γ >= 0.5.  An index
+    at or past n - 1 takes the last value, with γ its distance from -1.  The
+    partition's kth list is ``np.quantile``'s, so tied ±0 sit where it puts
+    them, and a NaN, sorted last, is every quartile.  ``np.quantile`` is not
+    called because it builds that kth list with ``np.unique``, whose
+    masked-array check imports ``numpy.ma`` (about 13 ms and 1.3 MB), which
+    nothing else here uses.  An empty array is an error here, not
+    ``np.quantile``'s; :func:`summarize_errors` rejects one first.
+    """
+    n = e.shape[0]
+    at = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    lows = [int(v) if v < n - 1 else -1 for v in at]
+    highs = [lo + 1 if lo >= 0 else -1 for lo in lows]
+    part = np.partition(e, sorted({0, -1, *lows, *highs}))
+    if np.isnan(part[-1]):
+        return (part[-1],) * 3
+    out = []
+    for v, lo, hi in zip(at, lows, highs):
+        a, b, gamma = part[lo], part[hi], v - lo
+        d = b - a
+        out.append(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)
+    return tuple(out)
+
+
 def summarize_errors(errors) -> dict[str, float]:
     """Boxplot statistics of a squared-error sample.
 
@@ -310,7 +339,7 @@ def summarize_errors(errors) -> dict[str, float]:
     e = np.asarray(errors, dtype=float)
     if e.size == 0:
         raise DataError("cannot summarize an empty error vector")
-    q1, med, q3 = np.quantile(e, [0.25, 0.5, 0.75])
+    q1, med, q3 = quartiles(e)
     return {
         "min": float(np.min(e)),
         "q1": float(q1),
@@ -382,6 +411,8 @@ def run_study(config: SimConfig, workers: int = 1) -> StudyResult:
     if workers == 1:  # a fresh pool thread made single-worker studies measurably slower
         outcomes = [run_replication(config, r) for r in indices]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled study loads it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(lambda r: run_replication(config, r), indices))
 

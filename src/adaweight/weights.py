@@ -112,7 +112,7 @@ from .errors import (
     NumericalError,
     WeightFamilyError,
 )
-from .estimators import Dataset, FitResult, fit_weighted_m, fit_wls, _solve_spd
+from .estimators import Dataset, FitResult, fit_weighted_m, fit_wls, median, _solve_spd
 from .kernels import EpanechnikovKernel
 from .losses import LossFunction
 
@@ -386,7 +386,7 @@ def _segment_scans(x: np.ndarray, starts: np.ndarray, seg: np.ndarray):
     pos = np.arange(n) - starts[seg]
     bits = np.frexp(np.diff(starts, append=n) - 1)[1]  # 2**bits >= segment length
     prefix, suffix = np.zeros((2, n + 1, x.shape[1]))
-    for b in np.unique(bits):
+    for b in np.flatnonzero(np.bincount(bits)):  # the distinct bits, none negative
         segs = np.flatnonzero(bits == b)
         rows = np.flatnonzero(bits[seg] == b)
         at = np.searchsorted(segs, seg[rows]), pos[rows]
@@ -536,7 +536,7 @@ def evaluate_weight_map(w0, x: np.ndarray) -> np.ndarray:
 
 def clamp_weights(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Clamp to [1e-6, 1e6] times the median; returns (weights, clamp count)."""
-    med = float(np.median(values))
+    med = float(median(values))
     lo, hi = CLAMP_LO * med, CLAMP_HI * med
     count = int(np.sum((values < lo) | (values > hi)))
     return np.clip(values, lo, hi), count

@@ -905,17 +905,22 @@ def run_module(*argv):
 
 
 #: Runs the CLI once per argument list in argv[1] (JSON), then fails if any
-#: ``scipy`` module was loaded.
-NO_SCIPY_SCRIPT = """
+#: module named in argv[2] (JSON), or a submodule of one, was loaded.
+UNUSED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 from adaweight.cli import main
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(args)
     assert code == 0, (args, code)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+unused = json.loads(sys.argv[2])
+loaded = sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in unused))
 assert not loaded, loaded
 """
+
+#: What no command uses: scipy is a test dependency, and numpy.ma would come
+#: from np.median's NaN check or a bare np.unique (np.quantile calls one).
+UNUSED = ["scipy", "numpy.ma"]
 
 
 class TestSubprocessEntry:
@@ -965,15 +970,18 @@ class TestSubprocessEntry:
             ["--loss", "power:1.5"],
         ]
         runs = [["fit", "--data", str(path), *flags] for flags in runs]
-        proc = run_python("-c", NO_SCIPY_SCRIPT, json.dumps(runs))
+        proc = run_python("-c", UNUSED_MODULES_SCRIPT, json.dumps(runs),
+                          json.dumps(UNUSED + ["concurrent.futures"]))
         assert proc.returncode == 0, proc.stderr
 
     def test_simulate_loads_no_scipy(self, tmp_path):
-        # A fresh process, as above: the draws' normal quantile is numpy's.
+        # Fresh processes, as above: the draws' normal quantile is numpy's,
+        # and only a pooled study imports concurrent.futures.
         study = ["simulate", "--n", "60", "--q", "2", "--sigma", "disc", "--reps", "2",
                  "--seed", "4", "--out", str(tmp_path)]
-        runs = [study + ["--methods", "first-step,parametric,np,sp,oracle",
-                         "--bandwidth", "cv", "--workers", "2"],
-                study + ["--loss", "huber:1.345"]]
-        proc = run_python("-c", NO_SCIPY_SCRIPT, json.dumps(runs))
-        assert proc.returncode == 0, proc.stderr
+        pooled = study + ["--methods", "first-step,parametric,np,sp,oracle",
+                          "--bandwidth", "cv", "--workers", "2"]
+        for runs, unused in (([study + ["--loss", "huber:1.345"]], UNUSED + ["concurrent.futures"]),
+                             ([pooled], UNUSED)):
+            proc = run_python("-c", UNUSED_MODULES_SCRIPT, json.dumps(runs), json.dumps(unused))
+            assert proc.returncode == 0, proc.stderr

@@ -751,6 +751,10 @@ class TestSubQuadraticPowerSteps:
             fit_weighted_m(data, NON_SQUARE["power:1.2"], w)
 
 
+#: Ties, signed zeros, subnormals and huge magnitudes for the order-statistic helpers.
+ODD_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e300, -1e300, 1.7e308]
+
+
 class TestBitIdenticalTrims:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -763,6 +767,16 @@ class TestBitIdenticalTrims:
         w = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
         abs_e = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
         assert est._objective(loss, w, abs_e).hex() == float(np.mean(w * loss._rho(abs_e))).hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(ODD_FLOATS), st.floats()), min_size=1,
+                    max_size=60))
+    def test_median_has_the_bits_of_np_median(self, values):
+        values = np.array(values)
+        with np.errstate(all="ignore"):
+            expected = np.median(values)
+            got = est.median(values)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_least_squares_start_is_solved_once_and_read_only(self):
         data, _ = random_instance(np.random.default_rng(29))

@@ -1,5 +1,8 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri as scipy_ndtri
 
 from adaweight import (
@@ -217,6 +220,10 @@ class TestRunReplication:
         )
 
 
+#: Ties, signed zeros, subnormals and huge magnitudes for the quartile helper.
+ODD_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e300, -1e300, 1.7e308]
+
+
 class TestSummaries:
     def test_fixed_error_vector(self):
         stats = summarize_errors([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -242,6 +249,16 @@ class TestSummaries:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             summarize_errors([])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(ODD_FLOATS), st.floats()), min_size=1,
+                    max_size=60))
+    def test_quartiles_have_the_bits_of_np_quantile(self, values):
+        values = np.array(values)
+        with np.errstate(all="ignore"):
+            expected = np.quantile(values, [0.25, 0.5, 0.75])
+            got = simulation.quartiles(values)
+        assert np.array(got).tobytes() == expected.tobytes()
 
 
 class TestRunStudy:
@@ -293,13 +310,14 @@ class TestRunStudy:
     def pool_sizes(self, monkeypatch):
         """``max_workers`` of every pool run_study builds, on a 2-CPU machine."""
         sizes = []
-        real = simulation.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def recorder(max_workers):
             sizes.append(max_workers)
             return real(max_workers=max_workers)
 
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recorder)
+        # run_study imports the pool class where it builds a pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorder)
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
         return sizes
 

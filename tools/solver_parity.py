@@ -28,11 +28,8 @@ parent's) and its relative beta move (the largest coefficient change over
 the parent's largest coefficient).  Fits whose converged flag flips, or
 that raise on one side only, are listed apart as flips; over the others
 the report counts the certificates better and worse by more than 2x and
-gives the worst certificate ratio and the worst beta move.  It gives the
-solver time summed per (workload, loss) on each side, from the two sides'
-runs one after the other, so read a ratio against the spread of a
-parent-against-parent run.  The exit status is 0 when every record and
-exit code is identical, else 1.
+gives the worst certificate ratio and the worst beta move.  The exit
+status is 0 when every record and exit code is identical, else 1.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -94,7 +90,6 @@ def capture(tree: str, ops) -> dict:
 
     def recorded(data, loss, w):
         record = dict(where)
-        start = time.perf_counter()
         try:
             fit = solve(data, loss, w)
         except (DataError, NumericalError) as exc:
@@ -106,7 +101,6 @@ def capture(tree: str, ops) -> dict:
                           gradient_norm=float(fit.gradient_norm).hex())
             return fit
         finally:
-            record["seconds"] = time.perf_counter() - start
             fits.append(record)
 
     weights.fit_weighted_m = recorded
@@ -143,7 +137,7 @@ def compare(parent: dict, change: dict, ops) -> dict:
     for a, b in zip(parent["fits"], change["fits"]):
         key = (a["workload"], a["loss"], a["operation"])
         position = positions[key] = positions.get(key, -1) + 1
-        fields = sorted(k for k in set(a) | set(b) if k != "seconds" and a.get(k) != b.get(k))
+        fields = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
         if fields:
             finished = "error" not in a and "error" not in b
             different.append({"workload": a["workload"], "loss": a["loss"],
@@ -156,18 +150,13 @@ def compare(parent: dict, change: dict, ops) -> dict:
     exits = [{"operation": f"{workload} {loss} {name}", "parent": x, "change": y}
              for (workload, loss, name, _), x, y in zip(ops, parent["exits"], change["exits"])
              if x != y]
-    seconds = {}
-    for side, run in (("parent", parent), ("change", change)):
-        for fit in run["fits"]:
-            key = f"{fit['workload']} {fit['loss']}"
-            seconds.setdefault(key, {"parent": 0.0, "change": 0.0})[side] += fit["seconds"]
     counts = {}
     for fit in parent["fits"]:
         counts[fit["workload"]] = counts.get(fit["workload"], 0) + 1
     return {"fits": {"parent": len(parent["fits"]), "change": len(change["fits"])},
             "fits_by_workload": counts, "different": different,
             "flips": sum(d["flip"] for d in different), "certificates": certificates(different),
-            "exits_different": exits, "solver_seconds": seconds}
+            "exits_different": exits}
 
 
 def seed_range(text: str) -> list[int]:
@@ -225,10 +214,6 @@ def main(argv=None) -> int:
           f"{len(report['different'])} different")
     if fits["parent"] != fits["change"]:
         print(f"  the change made {fits['change']} fits")
-    for key, side in report["solver_seconds"].items():
-        ratio = side["change"] / side["parent"] if side["parent"] else float("nan")
-        print(f"  solver time {key}: parent {side['parent']:.3f} s, "
-              f"change {side['change']:.3f} s ({ratio:.2f}x)")
     cert = report["certificates"]
     if report["different"]:
         print(f"  converged flag flipped or raised on one side: {report['flips']} fits")
