@@ -50,13 +50,15 @@ finds the bin up to the candidates sharing a cell, one on the default grid,
 and a binary search settles those.  A block's rows are scored once the walk
 passes them, so sums are kept only for the b rows the band still reaches: a
 scan costs O(n b + m log s) for m in-window pairs and s candidates per cell,
-and holds O((BLOCK_ROWS + G) b) memory for G <= GRID_CHUNK per walk.  Those
+and holds O(BLOCK_ROWS^2 + G b) memory for G <= GRID_CHUNK per walk.  The
 sums sit in one (4, b G) buffer of the walk's arena
 (:func:`adaweight.weights.borrowed_arena`), sized once from the walk's widest
-band; a block's prefix sums are taken in place over its own rows of them,
-which the walk then drops.  A block's pair arrays, at most five alive at
-once, use the arena's work buffer and, once its distances are read, its
-distance buffer; only the pair indices are allocated anew for every block.
+band.  A block's pairs are binned one tile of at most 2 BLOCK_ROWS of its
+band's columns at a time; after the last tile, its prefix sums are taken in
+place over its own rows, which the walk then drops.  A tile's pair arrays,
+at most five alive at once, use the arena's work buffer and, once its
+distances are read, its distance buffer; only the pair indices are
+allocated anew for every tile.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ def _loo_terms(e2, k, mass, s_e):
 def _band_terms(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
     """Yield the :func:`_loo_terms` of each block of sorted rows, from the pair bins."""
     g = h2s.size
-    # table cell c: leading bits c0 + c (lower ones in cell 0), start[c]
+    # table cell c: leading bits cell0 + c (lower ones in cell 0), start[c]
     # candidates below it; h2pad pads the binary search within a cell
-    c0, c1 = h2s[[0, -1]].view(np.int64) >> TABLE_SHIFT
-    start = np.searchsorted(h2s, (np.arange(c0, c1 + 1) << TABLE_SHIFT).view(float))
+    cell0, cell1 = h2s[[0, -1]].view(np.int64) >> TABLE_SHIFT
+    start = np.searchsorted(h2s, (np.arange(cell0, cell1 + 1) << TABLE_SHIFT).view(float))
     depth = int(np.max(np.diff(start, append=g))).bit_length()
     h2pad = np.append(h2s, np.full(1 << depth, np.inf))
 
@@ -155,51 +157,52 @@ def _band_terms(points: np.ndarray, e2: np.ndarray, h2s: np.ndarray):
         for s, w in zip(sums, (None, e, dist, np.multiply(e, dist, out=product))):
             s += np.bincount(at, weights=w, minlength=s.size)
 
-    def scatter_block(arena, sums, lo, d2):
-        """Bin the block's pairs inside the largest window and add each to both its points.
+    def scatter_tile(arena, sums, lo, first, d2):
+        """Bin the tile's pairs inside the largest window and add each to both its points.
 
-        The pair arrays live in the arena: the work buffer, once the band's
+        The pair arrays live in the arena: the work buffer, once the tile's
         distances are made, and the distance buffer, once they are read.
         """
-        r, w = d2.shape
-        inside = arena_buffer(arena, "work", d2.size).view(bool)[: d2.size].reshape(r, w)
+        r, t = d2.shape
+        inside = arena_buffer(arena, "work", d2.size).view(bool)[: d2.size].reshape(r, t)
         np.less(d2, h2s[-1], out=inside)
-        inside[:, :r] &= ~np.tri(r, dtype=bool)  # a pair within the block from its first row
+        if first == 0:  # a pair within the block from its first row; tiles are wider than r
+            inside[:, :r] &= ~np.tri(r, dtype=bool)
         col = np.flatnonzero(inside)
         m = col.size
         del inside
         work = arena_buffer(arena, "work", 3 * m + m // 8 + 1)
         dist, scratch, spare = work[: 3 * m].reshape(3, m)
         np.take(d2.ravel(), col, out=dist, mode="clip")
-        rows = np.floor_divide(col, w, out=spare.view(np.int64))
-        col -= np.multiply(rows, w, out=scratch.view(np.int64))
+        rows = np.floor_divide(col, t, out=spare.view(np.int64))
+        col -= np.multiply(rows, t, out=scratch.view(np.int64))
         cell = np.right_shift(dist.view(np.int64), TABLE_SHIFT, out=scratch.view(np.int64))
-        cell -= c0
+        cell -= cell0
         bins = np.take(start, np.maximum(cell, 0, out=cell), out=d2.ravel()[:m].view(np.int64),
                        mode="clip")
         above = work[3 * m:].view(bool)[:m]
         for step in (1 << b for b in reversed(range(depth))):
             bound = np.take(h2pad[step - 1:], bins, out=scratch, mode="clip")
             np.add(bins, step, out=bins, where=np.greater_equal(dist, bound, out=above))
-        ec = np.take(e2[lo:], col, out=scratch, mode="clip")
+        ec = np.take(e2[lo + first:], col, out=scratch, mode="clip")
         col *= g
         col += bins
         rows *= g
         bins += rows
         scatter(sums[:, : r * g], bins, ec, dist, spare)  # each pair to its row
         er = np.take(np.repeat(e2[lo:lo + r], g), bins, out=scratch, mode="clip")
-        scatter(sums, col, er, dist, spare)  # and to its column
+        scatter(sums[:, first * g:(first + t) * g], col, er, dist, spare)  # and to its column
 
     with borrowed_arena() as arena:
         order, blocks, widest = sorted_band(points, h2s[-1], arena)
         e2 = e2[order]
         carried = arena_buffer(arena, "sums", 4 * widest * g).reshape(4, -1)
         held = 0  # (row, bin) sums carried over for the rows past the last block
-        for lo, d2 in blocks:
-            r, w = d2.shape
+        for lo, r, w, tiles in blocks:
             sums = carried[:, : w * g]
             sums[:, held:] = 0.0
-            scatter_block(arena, sums, lo, d2)
+            for first, d2 in tiles:
+                scatter_tile(arena, sums, lo, first, d2)
             block = sums[:, : r * g].reshape(4, r, g)
             k, s_e, s_d, s_de = np.cumsum(block, axis=2, out=block)
             yield _loo_terms(e2[lo:lo + r, None], k, k - s_d / h2s, s_e - s_de / h2s)

@@ -67,4 +67,4 @@ class EpanechnikovKernel:
         there and no temporary is allocated.
         """
         one_minus = np.subtract(1.0, sq_norm, out=out)
-        return np.multiply(self.norm_const, np.clip(one_minus, 0.0, None, out=out), out=out)
+        return np.multiply(self.norm_const, np.maximum(one_minus, 0.0, out=out), out=out)

@@ -31,18 +31,19 @@ which cross-validation walks too; Fan & Marron, *Fast implementations of
 nonparametric curve estimators*, JCGS 3(1), 1994).  The points are projected
 on their principal axis and sorted once along it.  The band of each block of
 BLOCK_ROWS sorted rows holds the sorted columns from its first row to the
-last one whose projection lies within a width w of its last row; their
-squared distances (:func:`pairwise_sq_dists`) go to one buffer the size of
-the largest block.  :func:`_band_sums` turns them into kernel values in place, adds
-their sums against g2 and g1 to the block's rows and, mirrored, the block's
-g2 and g1 to the columns past it: each unordered pair is evaluated once.
+last one whose projection lies within a width w of its last row, taken in
+tiles of at most 2 BLOCK_ROWS columns whose squared distances
+(:func:`pairwise_sq_dists`) go to one buffer the size of the largest tile.
+:func:`_band_sums` turns each tile into kernel values in place, adds their sums
+against g2 and g1 to the block's rows and, mirrored, the block's g2 and g1 to
+the tile's columns past the block: each unordered pair is evaluated once.
 The window of i is every j with sum_k (x_jk - x_ik)^2 < h^2, the differences
 formed directly as in the one-column path below, so a point is at exactly 0
 from itself, a pair has one value from either end, and a difference whose
 square overflows gives inf: such points are isolated at every q.  Projecting
 on a unit vector shrinks no distance, so a band of width h holds every pair
-within h; w widens h only for rounding.  The cost is O(n * band width) and
-the memory O(BLOCK_ROWS * n).
+within h; w widens h only for rounding.  The cost is O(n * band width), and
+the band's buffers take O(BLOCK_ROWS^2) memory whatever n is.
 
 A walk of the band, the smoother's or cross-validation's, takes its buffers
 from an arena (:func:`borrowed_arena`): a dict of grow-only float buffers,
@@ -228,12 +229,14 @@ def pairwise_sq_dists(
     of each further coordinate go to ``scratch``, an array of that shape too,
     or a new one.
     """
-    d2 = np.subtract.outer(rows[:, 0], points[:, 0], out=out)
-    np.multiply(d2, d2, out=d2)
+    d2 = np.empty((rows.shape[0], points.shape[0])) if out is None else out
     scratch = np.empty_like(d2) if scratch is None else scratch
-    for k in range(1, rows.shape[1]):
-        diff = np.subtract.outer(rows[:, k], points[:, k], out=scratch)
-        d2 += np.multiply(diff, diff, out=diff)
+    for k, diff in enumerate([d2] + [scratch] * (rows.shape[1] - 1)):
+        np.copyto(diff, rows[:, k, None])  # then in place, cheaper than np.subtract.outer
+        diff -= points[:, k]
+        diff *= diff
+        if k:
+            d2 += diff
     return d2
 
 
@@ -276,11 +279,12 @@ def sorted_band(points: np.ndarray, h2: float, arena: dict):
     """The band of the module docstring over ``(n, d)`` points, d >= 2, holding each d2 < h2.
 
     Returns ``(order, blocks, widest)``: ``order`` sorts the rows along the band, ``blocks``
-    yields ``(lo, d2)`` per block of sorted rows from ``lo``, ``d2`` (in one buffer that
-    the next block overwrites) their squared distances to their band's columns from ``lo``,
-    and ``widest`` is the most columns of any block's band.
-    ``d2`` is the ``"dist"`` buffer of ``arena`` and :func:`pairwise_sq_dists` works in
-    its ``"work"`` buffer, whose contents a block leaves undefined.
+    yields ``(lo, r, w, tiles)`` per block of r sorted rows from ``lo`` with a band of w
+    columns from ``lo``, ``widest`` is the largest w, and ``tiles`` yields ``(first, d2)``:
+    ``d2`` the block's squared distances to the at most 2 BLOCK_ROWS columns from
+    ``lo + first``, in the ``"dist"`` buffer of ``arena``, which the next tile overwrites.
+    :func:`pairwise_sq_dists` works in its ``"work"`` buffer, whose contents a tile leaves
+    undefined.  A tile is wider than a block, so the block's own pairs are in its first.
     Axis and projections come from the points scaled by 2^-e to entries below 1, so the
     scatter matrix cannot overflow and a projection rounds by at most about q sqrt(q) eps.
     The width h 2^-e + 8 q sqrt(q) eps covers a pair's two projections, its window test
@@ -299,15 +303,20 @@ def sorted_band(points: np.ndarray, h2: float, arena: dict):
     starts = np.arange(0, n, BLOCK_ROWS)
     stops = np.minimum(starts + BLOCK_ROWS, n)
     ends = np.searchsorted(proj, proj[stops - 1] + width, side="right")
-    size = int(np.max((stops - starts) * (ends - starts)))
+    size = int(np.max((stops - starts) * np.minimum(ends - starts, 2 * BLOCK_ROWS)))
+
+    def tiles(buf, lo, hi, end):
+        for first in range(lo, end, 2 * BLOCK_ROWS):
+            shape = (hi - lo, min(end - first, 2 * BLOCK_ROWS))
+            d2 = buf[: shape[0] * shape[1]].reshape(shape)
+            yield first - lo, pairwise_sq_dists(
+                points[lo:hi], points[first:first + shape[1]], out=d2,
+                scratch=arena_buffer(arena, "work", d2.size).reshape(shape))
 
     def blocks():
         buf = arena_buffer(arena, "dist", size)
         for lo, hi, end in zip(starts, stops, ends):
-            shape = (hi - lo, end - lo)
-            d2 = buf[: shape[0] * shape[1]].reshape(shape)
-            yield lo, pairwise_sq_dists(points[lo:hi], points[lo:end], out=d2,
-                                        scratch=arena_buffer(arena, "work", d2.size).reshape(shape))
+            yield lo, hi - lo, end - lo, tiles(buf, lo, hi, end)
 
     return order, blocks(), int(np.max(ends - starts))
 
@@ -324,11 +333,13 @@ def _band_sums(points: np.ndarray, columns: np.ndarray, h2: float) -> np.ndarray
         order, blocks, _ = sorted_band(points, h2, arena)
         columns = columns[:, order]
         sums = np.zeros(columns.shape)
-        for lo, d2 in blocks:
-            r, w = d2.shape
-            k = kernel.profile(np.divide(d2, h2, out=d2), out=d2)
-            sums[:, lo:lo + r] += columns[:, lo:lo + w] @ k.T
-            sums[:, lo + r:lo + w] += columns[:, lo:lo + r] @ k[:, r:]  # the mirrored pairs
+        for lo, r, _, tiles in blocks:
+            for first, d2 in tiles:
+                k = kernel.profile(np.divide(d2, h2, out=d2), out=d2)
+                c0, c1 = lo + first, lo + first + k.shape[1]
+                sums[:, lo:lo + r] += columns[:, c0:c1] @ k.T
+                past = max(r - first, 0)  # the mirrored pairs, past the block's rows
+                sums[:, c0 + past:c1] += columns[:, lo:lo + r] @ k[:, past:]
     unsorted = np.empty_like(sums)
     unsorted[:, order] = sums
     return unsorted

@@ -34,7 +34,8 @@ from adaweight.weights import (
     sorted_band,
     squared_bandwidth,
 )
-from test_weights import LATTICE_ROTATIONS, CHAINED_DESIGNS, chained_covariates
+from test_weights import (LATTICE_ROTATIONS, CHAINED_DESIGNS, chained_covariates,
+                          dense_ratio_weights)
 
 SQUARE = LossFunction.square()
 
@@ -273,10 +274,10 @@ class TestCvBandwidth:
 
     def test_carried_sums_move_in_place(self, cold_arenas):
         # at h = 3 the band of a block reaches most of the 4000 rows, so the
-        # (row, candidate) sums of 200 candidates take 24 MB and the arrays of
-        # a block's 830000 in-window pairs about 33 MB: the scan peaks near
-        # 61 MB.  Below 48 MB the sums and the pair arrays no longer fit
-        # together, so that bound cannot hold here
+        # (row, candidate) sums of 200 candidates take 24 MB; the pairs are
+        # binned one tile of at most 2 BLOCK_ROWS columns at a time, whose
+        # arrays take about 4 MB, so the scan peaks near 29 MB.  Pair arrays
+        # for a block's whole band (830000 pairs, 33 MB) break the bound
         rng = np.random.default_rng(87)
         d, fs = random_fit(rng, n=4000, q=2)
         tracemalloc.start()
@@ -285,7 +286,21 @@ class TestCvBandwidth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 61 * 2**20
+        assert peak <= 48 * 2**20
+
+    def test_pair_arrays_stay_in_one_tile(self, cold_arenas):
+        # on the covering grid every pair is in the band, which is 4000
+        # columns deep; one tile's distances and pair arrays keep the scan
+        # near 6 MB, and those of a block's whole band peaked near 40 MB
+        rng = np.random.default_rng(87)
+        d, fs = random_fit(rng, n=4000, q=2)
+        tracemalloc.start()
+        try:
+            cv_bandwidth(d, fs, "np", grid=[50.0, 60.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_carried_sums_are_sized_once_per_walk(self, cold_arenas, monkeypatch):
         # the sparse tail's first block has the narrowest band, so the walk
@@ -295,7 +310,7 @@ class TestCvBandwidth:
         d, fs = random_fit(rng, n=4000, q=2)
         points = smoothing_coordinates(d, fs, "np")
         grid = np.geomspace(*default_grid(points)[[0, -1]], 200)
-        widths = [d2.shape[1] for _, d2 in sorted_band(points, grid[-1] ** 2, {})[1]]
+        widths = [w for _, _, w, _ in sorted_band(points, grid[-1] ** 2, {})[1]]
         assert widths[0] < max(widths)
         asked = []
 
@@ -307,6 +322,32 @@ class TestCvBandwidth:
         cv_bandwidth(d, fs, "np", grid=grid)
         assert asked[0] == "sums" and asked.count("sums") == 1
         assert "work" in asked and "prefix" not in asked
+
+    @pytest.mark.parametrize("mode, eps", [("np", None), ("sp-proj", 0.3)], ids=["np", "sp-proj"])
+    def test_small_blocks_span_many_tiles(self, mode, eps, monkeypatch):
+        # with 8-row blocks a tile holds 16 columns, so 150 points make 19
+        # blocks, and the widest bands span more than 4 tiles: pairs within a
+        # block, pairs in later tiles and mirrored pairs all count, against
+        # direct sums
+        d, fs = random_fit(np.random.default_rng(88), n=150, q=2)
+        grid = [0.4, 1.2, 3.0]
+        wide = cv_bandwidth(d, fs, mode, grid=grid, eps=eps)
+        monkeypatch.setattr(weights_module, "BLOCK_ROWS", 8)
+        points = smoothing_coordinates(d, fs, mode, eps)
+        widths = [w for _, _, w, _ in sorted_band(points, grid[-1] ** 2, {})[1]]
+        assert len(widths) == 19 and max(widths) > 4 * 2 * 8
+        res = cv_bandwidth(d, fs, mode, grid=grid, eps=eps)
+        assert res.h_cv == wide.h_cv
+        assert np.array_equal(res.valid_fraction, wide.valid_fraction)
+        e2 = fs.residuals**2
+        for j, h in enumerate(grid):
+            terms = [(e2[i] - (loo_sigma2(d, fs, h, mode, i, eps) or 0.0)) ** 2
+                     for i in range(d.n)]
+            assert res.scores[j] == pytest.approx(np.mean(terms), rel=1e-13, abs=0.0)
+            weights = (np_weights(d, SQUARE, fs, h) if mode == "np"
+                       else sp_projected_weights(d, SQUARE, fs, h, eps))
+            reference = dense_ratio_weights(points, SQUARE, fs.residuals, h)
+            np.testing.assert_allclose(weights, reference, rtol=1e-12, atol=0.0)
 
     def test_repeated_scan_reuses_its_arena(self, cold_arenas):
         # the first call peaks near 6 MB, most of it the arena it builds (it

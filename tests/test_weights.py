@@ -758,9 +758,9 @@ class TestBlockedSmoother:
         np.testing.assert_allclose(w, loss.g2(fs.residuals) / loss.g1(fs.residuals), rtol=1e-15)
 
     def test_memory_stays_in_row_blocks(self, cold_arenas):
-        # the banded smoother needs two (BLOCK_ROWS, band width) buffers in
-        # its arena, about 2 MB here; one n x n float64 temporary (32 MB)
-        # breaks the bound
+        # the banded smoother needs two buffers of a block's rows by at most
+        # 2 BLOCK_ROWS columns in its arena, about 2 MB here; one n x n
+        # float64 temporary (32 MB) breaks the bound
         rng = np.random.default_rng(45)
         d, _ = heteroscedastic_sample(rng, n=2000, q=2)
         fs = first_step(d, SQUARE)
@@ -771,6 +771,20 @@ class TestBlockedSmoother:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_memory_stays_in_one_tile(self, cold_arenas):
+        # at h = 3 a block's band reaches most of the 4000 rows; the smoother
+        # measures it one tile of at most 2 BLOCK_ROWS columns at a time and
+        # peaks near 2.3 MB, where buffers for the whole band took 15 MB
+        d, _ = heteroscedastic_sample(np.random.default_rng(46), n=4000, q=2)
+        fs = first_step(d, SQUARE)
+        tracemalloc.start()
+        try:
+            np_weights(d, SQUARE, fs, h=3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 class TestBandArenas:
